@@ -35,6 +35,7 @@ import numpy as np
 
 from repro.core.trainer import Trainer
 from repro.exec import ExecutionBackend, resolve_backend
+from repro.models.autoencoder import BatchLatent
 from repro.telemetry import Callback, TelemetryHub
 from repro.telemetry.events import EVAL, PAIRING, ROUND_END
 
@@ -162,6 +163,9 @@ class PopulationDriver:
         self.trainers = list(trainers)
         self.config = config
         self.eval_batch = dict(eval_batch) if eval_batch is not None else None
+        # The validation batch's encoding: computed once for the (shared,
+        # frozen) autoencoder instead of per trainer per round.
+        self._eval_latent = BatchLatent()
         self.history = history if history is not None else History()
         self.telemetry = TelemetryHub()
         self.backend = resolve_backend(backend)
@@ -375,13 +379,19 @@ class PopulationDriver:
             return 0.0
         t0 = time.perf_counter()
         with self._phase_span("eval", round=round_index):
-            snap = {t.name: t.evaluate(self.eval_batch) for t in self.trainers}
+            snap = {t.name: self._evaluate(t) for t in self.trainers}
         self.history.eval_series.append(snap)
         elapsed = time.perf_counter() - t0
         self.telemetry.emit(
             EVAL, round=round_index, metrics=snap, elapsed_s=elapsed
         )
         return elapsed
+
+    def _evaluate(self, trainer: Trainer) -> dict[str, float]:
+        """One trainer's metrics on the global validation batch."""
+        batch = self.eval_batch
+        latent_real = self._eval_latent.of(trainer.surrogate.autoencoder, batch)
+        return trainer.evaluate(batch, latent_real)
 
     def _end_round(
         self,
@@ -411,9 +421,7 @@ class PopulationDriver:
         (paper: the final surviving model is selected on validation loss)."""
         if self.eval_batch is None:
             raise ValueError("no global eval batch configured")
-        scored = [
-            (t, t.evaluate(self.eval_batch)[metric]) for t in self.trainers
-        ]
+        scored = [(t, self._evaluate(t)[metric]) for t in self.trainers]
         return min(scored, key=lambda pair: pair[1])
 
     def best_val_series(self, metric: str = "val_loss") -> list[float]:

@@ -24,6 +24,7 @@ import numpy as np
 from repro.core.enums import AdoptOptimizer, ExchangeScope
 from repro.datastore.pipeline import build_pipeline
 from repro.datastore.reader import Reader
+from repro.models.autoencoder import BatchLatent, LatentTable
 from repro.models.cyclegan import ICFSurrogate, SurrogateConfig
 from repro.tensorlib.optimizers import Adam, Optimizer
 
@@ -108,6 +109,13 @@ class Trainer:
         self.prefetch_depth = int(prefetch_depth)
         self._pipeline = None
         self._pipeline_state: dict | None = None
+        # The frozen encoder's outputs, kept instead of recomputed: per
+        # silo sample (filled as epoch 0 streams through, gathered from
+        # afterwards) and for the fixed tournament set.  Derived state,
+        # refilled wherever the trainer lands: both pickle as empty, and
+        # neither is in a checkpoint or an exec-state snapshot.
+        self.latent_table = LatentTable()
+        self._tournament_latent = BatchLatent()
         # Telemetry sink: population drivers attach their hub here so
         # train_steps can emit step_end events; None means uninstrumented.
         self.telemetry: TelemetryHub | None = None
@@ -198,14 +206,12 @@ class Trainer:
         if n_steps <= 0:
             raise ValueError("n_steps must be positive")
         t0 = time.perf_counter()
+        hits0, misses0 = self.latent_table.hits, self.latent_table.misses
         sums: dict[str, float] = {}
         tracer = getattr(self.telemetry, "tracer", None)
         if tracer is None:
             for _ in range(n_steps):
-                mb = self._next_batch()
-                terms = self.surrogate.train_step(
-                    mb.feeds, self.disc_optimizer, self.gen_optimizer
-                )
+                terms = self._train_step()
                 for k, v in terms.items():
                     sums[k] = sums.get(k, 0.0) + v
         else:
@@ -219,10 +225,7 @@ class Trainer:
                         "train_step", cat="step", track=track,
                         step=self.steps_done + i,
                     ):
-                        mb = self._next_batch()
-                        terms = self.surrogate.train_step(
-                            mb.feeds, self.disc_optimizer, self.gen_optimizer
-                        )
+                        terms = self._train_step()
                     for k, v in terms.items():
                         sums[k] = sums.get(k, 0.0) + v
         self.steps_done += n_steps
@@ -237,21 +240,46 @@ class Trainer:
                 elapsed_s=time.perf_counter() - t0,
                 backend=self.backend_name,
                 worker=self.worker_index,
+                latent_hits=self.latent_table.hits - hits0,
+                latent_misses=self.latent_table.misses - misses0,
             )
         return means
 
+    def _train_step(self) -> dict[str, float]:
+        """Draw the next batch and take one GAN step on it, the real
+        latents coming from the per-sample table."""
+        mb = self._next_batch()
+        latent_real = self.latent_table.latents(
+            self.surrogate.autoencoder,
+            mb.sample_ids,
+            mb.feeds["scalars"],
+            mb.feeds["images"],
+        )
+        return self.surrogate.train_step(
+            mb.feeds, self.disc_optimizer, self.gen_optimizer, latent_real
+        )
+
     # -- evaluation ----------------------------------------------------------
 
-    def evaluate(self, batch: Mapping[str, np.ndarray]) -> dict[str, float]:
-        """Full surrogate metrics on an arbitrary batch (e.g. global val)."""
-        return self.surrogate.evaluate(batch)
+    def evaluate(
+        self,
+        batch: Mapping[str, np.ndarray],
+        latent_real: np.ndarray | None = None,
+    ) -> dict[str, float]:
+        """Full surrogate metrics on an arbitrary batch (e.g. global val).
+
+        ``latent_real`` is the batch's encoding when the caller keeps it
+        (drivers do, for their fixed validation batch)."""
+        return self.surrogate.evaluate(batch, latent_real)
 
     def tournament_score(self) -> float:
         """Score the *current* generator on the local tournament set with
         the configured metric (lower is better for both metrics)."""
+        batch = self.tournament_batch
         if self.config.tournament_metric == "val_loss":
-            return self.surrogate.evaluate(self.tournament_batch)["val_loss"]
-        return self.surrogate.discriminator_score(self.tournament_batch)
+            latent_real = self._tournament_latent.of(self.surrogate.autoencoder, batch)
+            return self.surrogate.evaluate(batch, latent_real)["val_loss"]
+        return self.surrogate.discriminator_score(batch)
 
     def score_candidate(
         self,

@@ -19,7 +19,7 @@ can price paper-scale training steps without materializing paper-scale
 weights.
 """
 
-from repro.models.autoencoder import MultimodalAutoencoder
+from repro.models.autoencoder import BatchLatent, LatentTable, MultimodalAutoencoder
 from repro.models.cyclegan import (
     ICFSurrogate,
     MLPSpec,
@@ -31,6 +31,8 @@ from repro.models.cyclegan import (
 
 __all__ = [
     "MultimodalAutoencoder",
+    "LatentTable",
+    "BatchLatent",
     "ICFSurrogate",
     "SurrogateConfig",
     "small_config",

@@ -10,6 +10,7 @@ consistency: one latent point determines *all* modalities at once.
 
 from __future__ import annotations
 
+import weakref
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -29,7 +30,7 @@ from repro.tensorlib.model import Model
 from repro.tensorlib.optimizers import Optimizer
 from repro.utils.rng import RngFactory
 
-__all__ = ["MultimodalAutoencoder"]
+__all__ = ["MultimodalAutoencoder", "LatentTable", "BatchLatent"]
 
 
 def _build_encoder(
@@ -112,6 +113,11 @@ class MultimodalAutoencoder:
         self.image_loss_weight = float(image_loss_weight)
         self.encoder = _build_encoder("encoder", rngs, schema, hidden, latent_dim)
         self.decoder = _build_decoder("decoder", rngs, schema, hidden, latent_dim)
+        #: Bumped by everything here that changes the weights
+        #: (:meth:`train_step`, :meth:`set_state`); caches of encoder
+        #: outputs (:class:`LatentTable`, :class:`BatchLatent`) compare it
+        #: to know when they are stale.
+        self.generation = 0
 
     # -- inference ---------------------------------------------------------
 
@@ -155,6 +161,7 @@ class MultimodalAutoencoder:
         )["latent"]
         self.encoder.backward({"latent": latent_grad})
         optimizer.step(self.encoder.trainable_weights + self.decoder.trainable_weights)
+        self.generation += 1
         return {
             "scalar_mae": s_loss,
             "image_mae": i_loss,
@@ -183,3 +190,134 @@ class MultimodalAutoencoder:
         dec = {k: v for k, v in state.items() if k.startswith("decoder/")}
         self.encoder.set_state(enc)
         self.decoder.set_state(dec)
+        self.generation += 1
+
+
+# ---------------------------------------------------------------------------
+# Encode once: caches of the frozen encoder's outputs
+# ---------------------------------------------------------------------------
+
+
+class LatentTable:
+    """Sample-id-keyed table of ``encode(sample)``: the data store's
+    "pay for a sample once" applied to the frozen encoder.
+
+    A batch whose ids are all present is gathered from the table; a batch
+    with *any* unseen id is encoded whole, exactly as an uncached caller
+    would have encoded it, and its unseen rows are added.  Rows are
+    therefore only ever produced by full-batch encodes at the caller's
+    one batch shape, and with the GEMM shape fixed a row's result depends
+    on that row alone (the contract :mod:`repro.serve.runtime` states),
+    so a gathered row is bit-equal to recomputing it.
+
+    Ids are non-negative dataset indices (what every reader plans over);
+    the index is dense over the id space seen so far (8 B per id), the
+    rows cost ``4 * latent_dim`` B per cached sample.  The table empties
+    itself when asked about another autoencoder or after the encoder's
+    weights changed (:attr:`MultimodalAutoencoder.generation`).  It is
+    derived state: owners leave it out of pickles and checkpoints and
+    let it refill.
+
+    ``hits`` counts batch rows gathered from the table, ``misses`` batch
+    rows that went through the encoder.
+    """
+
+    def __init__(self) -> None:
+        self.hits = 0
+        self.misses = 0
+        self._encoder: weakref.ref | None = None  # whose outputs these are
+        self._generation = -1
+        self.clear()
+
+    def __reduce__(self):
+        # Derived state never travels: a copy (pickle, deepcopy) is empty.
+        return (type(self), ())
+
+    def clear(self) -> None:
+        """Forget every row (the hit/miss counts keep running)."""
+        self._slot_of = np.empty(0, dtype=np.intp)  # id -> row, -1 = unseen
+        self._rows: np.ndarray | None = None
+        self._size = 0
+
+    def __len__(self) -> int:
+        return self._size
+
+    def latents(
+        self,
+        autoencoder: MultimodalAutoencoder,
+        sample_ids: np.ndarray,
+        scalars: np.ndarray,
+        images: np.ndarray,
+    ) -> np.ndarray:
+        """``autoencoder.encode(scalars, images)``, row ``i`` being sample
+        ``sample_ids[i]`` — gathered when every id has been seen."""
+        if (
+            self._encoder is None
+            or self._encoder() is not autoencoder
+            or self._generation != autoencoder.generation
+        ):
+            self.clear()
+            self._encoder = weakref.ref(autoencoder)
+            self._generation = autoencoder.generation
+        ids = np.asarray(sample_ids, dtype=np.intp)
+        if ids.min() < 0:
+            raise ValueError("sample ids must be non-negative")
+        top = int(ids.max())
+        if top >= self._slot_of.size:
+            grown = np.full(max(top + 1, 2 * self._slot_of.size), -1, dtype=np.intp)
+            grown[: self._slot_of.size] = self._slot_of
+            self._slot_of = grown
+        slots = self._slot_of[ids]
+        unseen = slots < 0
+        if not unseen.any():
+            self.hits += ids.size
+            return self._rows[slots]
+        latent = autoencoder.encode(scalars, images)
+        self.misses += ids.size
+        self._add(ids[unseen], latent[unseen])
+        return latent
+
+    def _add(self, ids: np.ndarray, rows: np.ndarray) -> None:
+        ids, first = np.unique(ids, return_index=True)
+        end = self._size + ids.size
+        if self._rows is None or end > self._rows.shape[0]:
+            grown = np.empty((max(end, 2 * self._size), rows.shape[1]), rows.dtype)
+            if self._rows is not None:
+                grown[: self._size] = self._rows[: self._size]
+            self._rows = grown
+        self._rows[self._size : end] = rows[first]
+        self._slot_of[ids] = np.arange(self._size, end)
+        self._size = end
+
+
+class BatchLatent:
+    """Latents of the one fixed batch its owner keeps scoring on (a
+    trainer's tournament set, a driver's validation set): encoded as one
+    block, once per autoencoder asked about, and again only after that
+    encoder's weights changed or the owner moved to other arrays.  The
+    arrays are recognized by identity, so writing *into* them goes
+    unnoticed — hand over new arrays instead.  The returned latents are
+    shared between calls; treat them as read-only."""
+
+    def __init__(self) -> None:
+        self._scalars: np.ndarray | None = None
+        self._images: np.ndarray | None = None
+        #: autoencoder -> (generation, latents); weak, so an execution
+        #: backend's short-lived autoencoder replicas are not kept alive.
+        self._encoded: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+    def __reduce__(self):
+        return (type(self), ())  # as LatentTable: a copy starts empty
+
+    def of(
+        self, autoencoder: MultimodalAutoencoder, batch: Mapping[str, np.ndarray]
+    ) -> np.ndarray:
+        scalars, images = batch["scalars"], batch["images"]
+        if scalars is not self._scalars or images is not self._images:
+            self._encoded.clear()
+            self._scalars, self._images = scalars, images
+        entry = self._encoded.get(autoencoder)
+        if entry is None or entry[0] != autoencoder.generation:
+            entry = (autoencoder.generation, autoencoder.encode(scalars, images))
+            self._encoded[autoencoder] = entry
+        return entry[1]

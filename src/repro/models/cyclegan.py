@@ -326,7 +326,10 @@ class ICFSurrogate:
 
     def invert(self, scalars: np.ndarray, images: np.ndarray) -> np.ndarray:
         """Inverse query: infer parameters from observed outputs."""
-        latent = self.autoencoder.encode(scalars, images)
+        return self.invert_latent(self.autoencoder.encode(scalars, images))
+
+    def invert_latent(self, latent: np.ndarray) -> np.ndarray:
+        """Inverse query on outputs that are already encoded."""
         return self.inverse_model.predict({"in": latent}, "out")
 
     # -- training ----------------------------------------------------------------
@@ -336,11 +339,15 @@ class ICFSurrogate:
         batch: Mapping[str, np.ndarray],
         disc_optimizer: Optimizer,
         gen_optimizer: Optimizer,
+        latent_real: np.ndarray | None = None,
     ) -> dict[str, float]:
         """One full GAN step (discriminator phase, then generator phase).
 
-        ``batch`` needs keys ``params``, ``scalars``, ``images``.  Returns
-        all loss terms.
+        ``batch`` needs keys ``params``, ``scalars``, ``images``.
+        ``latent_real`` is ``encoder(scalars, images)`` when the caller
+        already has it (trainers keep it per sample, see
+        :class:`~repro.models.autoencoder.LatentTable`); encoded here
+        otherwise.  Returns all loss terms.
         """
         cfg = self.config
         params, scalars, images = batch["params"], batch["scalars"], batch["images"]
@@ -348,7 +355,8 @@ class ICFSurrogate:
 
         # Real/fake latents.  The encoder is frozen: evaluation mode,
         # no backward pass.
-        latent_real = self.autoencoder.encode(scalars, images)
+        if latent_real is None:
+            latent_real = self.autoencoder.encode(scalars, images)
 
         # --- discriminator phase ---
         self.discriminator.zero_grad()
@@ -430,22 +438,27 @@ class ICFSurrogate:
 
     # -- evaluation ------------------------------------------------------------
 
-    def evaluate(self, batch: Mapping[str, np.ndarray]) -> dict[str, float]:
+    def evaluate(
+        self,
+        batch: Mapping[str, np.ndarray],
+        latent_real: np.ndarray | None = None,
+    ) -> dict[str, float]:
         """Validation metrics on a batch; no parameter updates.
 
         ``val_loss`` (forward fidelity + cycle consistency, per the
         paper's "forward and inverse loss" quality measure) is the LTFB
         tournament/validation criterion — lower is better.
+        ``latent_real`` as in :meth:`train_step`.
         """
         params, scalars, images = batch["params"], batch["scalars"], batch["images"]
-        s_hat, i_hat = self.predict_outputs(params)
+        z = self.predict_latent(params)
+        s_hat, i_hat = self.autoencoder.decode(z)
         fwd_s, _ = losses.mean_absolute_error(s_hat, scalars)
         fwd_i, _ = losses.mean_absolute_error(i_hat, images)
-        z = self.predict_latent(params)
-        x_cycle = self.inverse_model.predict({"in": z}, "out")
-        cyc, _ = losses.mean_absolute_error(x_cycle, params)
-        x_inv = self.invert(scalars, images)
-        inv, _ = losses.mean_absolute_error(x_inv, params)
+        cyc, _ = losses.mean_absolute_error(self.invert_latent(z), params)
+        if latent_real is None:
+            latent_real = self.autoencoder.encode(scalars, images)
+        inv, _ = losses.mean_absolute_error(self.invert_latent(latent_real), params)
         cfg = self.config
         return {
             "forward_scalar_mae": fwd_s,

@@ -7,10 +7,10 @@ than the surrogate's own fidelity, so they share a cache entry: keys are
 the parameter vector snapped to a ``quantum`` grid.  ``quantum=0``
 disables snapping (exact float equality only).
 
-The cache is version-blind by design — the server *clears* it on every
-hot-reload instead of tagging entries, which is what makes the
-"no mixed-version responses" guarantee trivial to audit: everything in
-the cache was produced by the currently served model.
+The cache itself is version-blind: the server *clears* it on every
+hot-reload, and — because a micro-batch already executing on the previous
+model fills the cache after that clear — checks a hit's version stamp
+against the serving version before answering from it.
 """
 
 from __future__ import annotations

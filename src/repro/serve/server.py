@@ -17,8 +17,11 @@ phase is instrumented through the existing telemetry stacks:
   deadline misses.
 
 Version consistency: executors capture the registry's current model once
-per batch, and the response cache is cleared on every reload — no
-response mixes versions, and no stale cache entry outlives a swap.
+per batch, the response cache is cleared on every reload, and a cache
+hit is served only when its version is the registry's current one (a
+batch in flight across the reload fills the cache after the clear) — no
+response mixes versions, and no cached response is behind the model
+being served.
 """
 
 from __future__ import annotations
@@ -204,8 +207,9 @@ class SurrogateServer:
         self._info_labels = info.labels
 
     def _on_reload(self, model: ServingModel) -> None:
-        # Clearing the cache is the mixed-version guard: everything cached
-        # from here on was produced by `model`.
+        # Drop the previous model's responses.  A batch in flight on that
+        # model can still fill the cache after this; `submit` rejects
+        # those entries by version on hit.
         self.cache.clear()
         self.m_reloads.inc()
         self._stamp_model(model)
@@ -317,6 +321,14 @@ class SurrogateServer:
         now = time.perf_counter()
         key = self.cache.key(row)
         cached = self.cache.get(key)
+        if (
+            cached is not None
+            and cached.version != self.registry.current().version
+        ):
+            # A micro-batch already executing on the previous model when a
+            # reload cleared the cache fills it afterwards; such entries
+            # are misses, and the recomputed response overwrites them.
+            cached = None
         if self._tracer is not None:
             self._tracer.record(
                 "serve.cache", cat="serve", track="serve",

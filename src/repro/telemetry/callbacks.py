@@ -240,6 +240,11 @@ class CounterAggregator(Callback):
     and the hidden remainder ``max(0, materialize_s - stall_s)`` into
     ``fetch_overlap_s``, with per-worker breakdowns in ``worker_stall_s``
     / ``worker_overlap_s`` when the event carries backend attribution.
+
+    ``latent_hits`` / ``latent_misses`` sum the ``step_end`` fields of the
+    same names: training-batch rows whose real latents came from the
+    trainer's per-sample table vs. rows that went through the frozen
+    encoder (absent from older traces; counted as zero).
     """
 
     def __init__(self) -> None:
@@ -257,6 +262,8 @@ class CounterAggregator(Callback):
         self.worker_overlap_s: dict[str, float] = {}
         self.prefetch_fills = 0
         self._prefetch_fill_sum = 0
+        self.latent_hits = 0
+        self.latent_misses = 0
         self.datastore_local_fetches = 0
         self.datastore_remote_fetches = 0
         self.datastore_local_bytes = 0
@@ -278,6 +285,8 @@ class CounterAggregator(Callback):
 
     def on_step_end(self, event: TelemetryEvent) -> None:
         self.steps += int(event.payload["steps"])
+        self.latent_hits += int(event.payload.get("latent_hits", 0))
+        self.latent_misses += int(event.payload.get("latent_misses", 0))
         backend = event.payload.get("backend")
         worker = event.payload.get("worker")
         if backend is not None and worker is not None:
@@ -342,6 +351,11 @@ class CounterAggregator(Callback):
         total = self.datastore_local_fetches + self.datastore_remote_fetches
         return self.datastore_remote_fetches / total if total else 0.0
 
+    def latent_hit_ratio(self) -> float:
+        """Share of training-batch rows served from the latent table."""
+        total = self.latent_hits + self.latent_misses
+        return self.latent_hits / total if total else 0.0
+
     def mean_prefetch_fill(self) -> float:
         """Mean prefetch-queue occupancy observed at fill time."""
         return (
@@ -386,6 +400,9 @@ class CounterAggregator(Callback):
             "fetch_overlap_s": self.fetch_overlap_s,
             "prefetch_fills": self.prefetch_fills,
             "prefetch_mean_fill": self.mean_prefetch_fill(),
+            "latent_hits": self.latent_hits,
+            "latent_misses": self.latent_misses,
+            "latent_hit_ratio": self.latent_hit_ratio(),
             "datastore_local_fetches": self.datastore_local_fetches,
             "datastore_remote_fetches": self.datastore_remote_fetches,
             "datastore_local_bytes": self.datastore_local_bytes,

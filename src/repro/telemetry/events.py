@@ -47,7 +47,9 @@ __all__ = [
 #: One trainer finished a ``train_steps`` interval.  Payload: ``trainer``,
 #: ``steps``, ``steps_done``, ``losses`` (mean loss terms), ``elapsed_s``,
 #: plus ``backend`` (execution backend name) and ``worker`` (which worker
-#: slot ran the interval; always 0 under the serial backend).
+#: slot ran the interval; always 0 under the serial backend), plus
+#: ``latent_hits`` / ``latent_misses`` (batch rows of the interval whose
+#: real latents were gathered from the trainer's table / encoded).
 STEP_END = "step_end"
 
 #: A driver finished one (train, tournament, eval) round.  Payload:

@@ -395,6 +395,12 @@ def render_trace_report(path) -> str:
             f"(stalled {summary['fetch_stall_s']:.3f}s, overlapped "
             f"{summary['fetch_overlap_s']:.3f}s of materialization)"
         )
+        if summary["latent_hits"] or summary["latent_misses"]:
+            out.append(
+                f"  latent table: {summary['latent_hits']} rows gathered / "
+                f"{summary['latent_misses']} encoded "
+                f"(hit ratio {summary['latent_hit_ratio']:.3f})"
+            )
         if summary["prefetch_fills"]:
             out.append(
                 f"  prefetch fills: {summary['prefetch_fills']} "

@@ -502,6 +502,36 @@ class TestServer:
         assert refreshed.tag == "round-002"
 
 
+    def test_reload_mid_batch_never_serves_stale_cache(
+        self, serve_store, monkeypatch
+    ):
+        """A batch executing on the old model when a reload lands fills
+        the cache *after* the reload cleared it; those entries must not
+        be served once the new model is current."""
+        server = _server(serve_store, tag="round-001")
+        old = server.registry.current()
+        forward = old.runtime.predict
+
+        def reload_mid_forward(params):
+            out = forward(params)
+            assert server.registry.refresh().tag == "round-002"
+            return out
+
+        monkeypatch.setattr(old.runtime, "predict", reload_mid_forward)
+        row = np.full(old.runtime.input_dim, 0.25, dtype=np.float32)
+        with server:
+            first = server.predict(row)  # pinned to round-001, reloads inside
+            serving = server.registry.current().version
+            second = server.predict(row)
+            third = server.predict(row)
+        assert (first.version, first.tag) == (old.version, "round-001")
+        assert serving == old.version + 1
+        assert (second.version, second.tag, second.cached) == (
+            serving, "round-002", False,
+        )
+        assert (third.version, third.cached) == (serving, True)
+
+
 class TestLoadGenerators:
     def test_closed_loop_accounts_every_request(self, serve_store):
         server = _server(serve_store)
