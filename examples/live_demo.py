@@ -1,9 +1,9 @@
 """The live-observability acceptance demo: catch a run going bad, live.
 
 A short streamed LTFB campaign runs with the full live plane attached —
-:class:`~repro.telemetry.LiveAggregator` (windowed rollups + anomaly
-alerts), :class:`~repro.telemetry.FlightRecorder` (post-mortem ring
-bundles), and a JSONL trace.  Two faults are injected deliberately:
+:class:`~repro.telemetry.LiveAggregator` (windowed rollups + the
+run-health rules), :class:`~repro.telemetry.FlightRecorder` (post-mortem
+ring bundles), and a JSONL trace.  Two faults are injected deliberately:
 
 1. a **fetch-stall regression** — synthetic ``fetch_stall`` events flood
    round 2, far past the stall/train-phase threshold;
@@ -105,13 +105,9 @@ def main(out_dir: str = "live-demo") -> int:
     setup = build_streaming_run(
         StreamingSpec(seed=7, k=2, n_design=256, prime_samples=64)
     )
-    aggregator = LiveAggregator(
-        # Sensitive thresholds so the injected faults trip deterministically
-        # at demo scale (2 steps/round): any stall above 5% of the train
-        # phase is a regression, no warmup grace.
-        stall_fraction_threshold=0.05,
-        warmup_rounds=1,
-    )
+    # Default thresholds: the injected faults are unmistakable (seconds of
+    # stall against a ~20 ms train phase), and nothing else fires.
+    aggregator = LiveAggregator()
     recorder = FlightRecorder(out_dir=rec_dir, capacity=64)
     stall_round, nan_round = 2, 2  # stall floods round 2; NaN lands round 3
     probe = WarningProbe()

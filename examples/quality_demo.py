@@ -3,10 +3,9 @@ then watch the serve gate refuse the collapsed winner.
 
 A short streamed LTFB campaign runs with the quality plane attached — a
 :class:`~repro.eval.QualityProbe` scoring every generator against the
-ground-truth reservoir each round, the
-:class:`~repro.telemetry.LiveAggregator` z-scoring those divergence
-readings, and a :class:`~repro.telemetry.HealthMonitor` folding them
-against each trainer's best.  One fault is injected deliberately: after
+ground-truth reservoir each round, and the
+:class:`~repro.telemetry.LiveAggregator` folding those divergence
+readings against each trainer's best.  One fault is injected deliberately: after
 round ``collapse_round`` ends, trainer 0's generator weights are zeroed
 — its outputs collapse to a constant, the exact failure mode whose
 losses stay unremarkable while the output *distribution* dies.
@@ -41,12 +40,7 @@ from repro.eval import QualityProbe
 from repro.exec import resolve_backend
 from repro.experiments.streaming import StreamingSpec, build_streaming_run
 from repro.serve import ModelRegistry, ServeConfig, SurrogateServer
-from repro.telemetry import (
-    Callback,
-    HealthMonitor,
-    JsonlTraceWriter,
-    LiveAggregator,
-)
+from repro.telemetry import Callback, JsonlTraceWriter, LiveAggregator
 
 
 class CollapseInjector(Callback):
@@ -110,20 +104,11 @@ def main(out_dir: str = "quality-demo") -> int:
     # injected collapse rises clearly above the healthy trend even at
     # demo scale, where the tiny surrogate saturates the estimator.
     probe = QualityProbe(capacity=256, metric="kl", seed=11)
-    aggregator = LiveAggregator(
-        # Sensitive detector so the single injected spike trips
-        # deterministically at demo scale: three healthy readings are
-        # enough warmup, two sigma is enough surprise.
-        z_threshold=2.0,
-        detector_warmup=2,
-        warmup_rounds=1,
-        cooldown_rounds=0,
-    )
     # Demo-scale estimates sit near the estimator's ceiling, so the
     # healthy-floor multiple is tight: any post-floor rise above 5% is
     # the injected collapse, not wobble (real campaigns keep the default
     # generous factor).
-    monitor = HealthMonitor(quality_factor=1.05, quality_min_points=2)
+    aggregator = LiveAggregator(quality_factor=1.05)
     warnings_probe = WarningProbe()
     victim = setup.trainers[0].name
     capture = SummaryCapture(probe, victim, collapse_round)
@@ -145,7 +130,6 @@ def main(out_dir: str = "quality-demo") -> int:
             probe,
             capture,
             aggregator,
-            monitor,
             warnings_probe,
         ]
     )
@@ -160,11 +144,6 @@ def main(out_dir: str = "quality-demo") -> int:
     assert warnings_probe.per_round[collapse_round] >= 1, (
         warnings_probe.per_round
     )
-    collapse_alerts = [
-        a for a in aggregator.alerts if a.kind == "quality_collapse"
-    ]
-    assert collapse_alerts, [a.kind for a in aggregator.alerts]
-
     # The probe trajectory shows the blowup: the victim's divergence
     # after the collapse dwarfs its healthy floor.
     victim_series = {r: m["kl"] for r, m in probe.trajectory[victim]}

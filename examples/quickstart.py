@@ -25,7 +25,12 @@ from repro.core import (
 )
 from repro.jag import JagDatasetConfig, generate_dataset, small_schema
 from repro.models import small_config
-from repro.telemetry import JsonlTraceWriter, ProgressLogger, WallClockTimer
+from repro.telemetry import (
+    JsonlTraceWriter,
+    LiveAggregator,
+    ProgressLogger,
+    WallClockTimer,
+)
 from repro.utils.rng import RngFactory
 
 
@@ -66,8 +71,9 @@ def main() -> None:
         )
 
     # 4. Tournament training, observed through the telemetry subsystem:
-    #    a progress line per round, per-phase wall-clock totals, and a
-    #    JSONL trace you can inspect afterwards with
+    #    a progress line per round, per-phase wall-clock totals, the
+    #    run-health rules (alerts print under the round they fire in),
+    #    and a JSONL trace you can inspect afterwards with
     #    `python -m repro.experiments trace-report quickstart_trace.jsonl`.
     print("running LTFB (8 rounds x 20 steps) ...")
     driver = LtfbDriver(
@@ -81,10 +87,12 @@ def main() -> None:
         callbacks=[
             ProgressLogger(),
             timer,
+            LiveAggregator(),
             JsonlTraceWriter("quickstart_trace.jsonl"),
         ]
     )
     print(f"tournament adoption rate: {history.adoption_rate():.2f}")
+    print(f"  run healthy: {history.healthy}")
     print(f"  {timer.summary()}")
     print("  telemetry trace written to quickstart_trace.jsonl")
 

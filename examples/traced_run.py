@@ -40,8 +40,8 @@ from repro.exec import resolve_backend
 from repro.jag import JagDatasetConfig, generate_dataset, small_schema
 from repro.models import small_config
 from repro.telemetry import (
-    HealthMonitor,
     JsonlTraceWriter,
+    LiveAggregator,
     MetricsCollector,
     ProgressLogger,
     ResourceSampler,
@@ -86,7 +86,7 @@ def main(out_dir: str = "traced-run") -> None:
 
     trace_path = out / "trace.jsonl"
     metrics = MetricsCollector()
-    health = HealthMonitor()
+    health = LiveAggregator()
     print("training (process backend, 2 workers, prefetch depth 2) ...")
     with JsonlTraceWriter(
         trace_path, metadata={"example": "traced_run"}, spans=True

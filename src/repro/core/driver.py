@@ -72,14 +72,14 @@ class History:
     #: (odd populations, unmatched grid cells, async leftovers).
     byes: list[list[str]] = field(default_factory=list)
     exchange_bytes: int = 0
-    #: Structured warnings from any attached
-    #: :class:`~repro.telemetry.health.HealthMonitor` (empty when no
-    #: monitor ran, or the run was healthy).
+    #: :class:`~repro.telemetry.live.Alert` rows appended *at fire time*
+    #: by an attached :class:`~repro.telemetry.live.LiveAggregator`
+    #: (empty when none ran, or the run was healthy).
     health_warnings: list = field(default_factory=list)
 
     @property
     def healthy(self) -> bool:
-        """True when no health monitor flagged anything."""
+        """True when no health rule fired."""
         return not self.health_warnings
 
     def adoption_rate(self) -> float:

@@ -41,48 +41,9 @@ if TYPE_CHECKING:
 __all__ = [
     "ExecutionBackend",
     "EventRecorder",
-    "relay_worker_alerts",
     "resolve_backend",
     "BACKEND_NAMES",
 ]
-
-
-def relay_worker_alerts(
-    sink, trainer_name: str, losses, *, backend: str, worker: int
-) -> None:
-    """Fast-flag non-finite losses at the execution site.
-
-    Every backend calls this right after a trainer's interval, with the
-    sink the trainer just emitted into — the driver's hub (serial) or the
-    interval's :class:`EventRecorder` (thread/process, where the ``alert``
-    event rides the existing replay path back to the driver).  A worker
-    process thus reports a NaN the moment it happens, without the driver
-    having to re-scan losses, and the live plane's
-    :class:`~repro.telemetry.live.LiveAggregator` routes the relayed
-    alert (``origin="worker"``) through its engine exactly once.
-    """
-    import math
-
-    if sink is None:
-        return
-    for term, value in (losses or {}).items():
-        if not math.isfinite(float(value)):
-            sink.emit(
-                "alert",
-                kind="nan_loss",
-                severity="critical",
-                source="train",
-                round=None,
-                trainer=trainer_name,
-                message=(
-                    f"worker {worker} ({backend}): trainer {trainer_name} "
-                    f"loss term {term!r} is {float(value)}"
-                ),
-                value=None,
-                threshold=None,
-                origin="worker",
-            )
-            return
 
 
 class EventRecorder:

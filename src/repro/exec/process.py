@@ -70,7 +70,6 @@ _JOIN_TIMEOUT_S = 10.0
 def _worker_main(conn, worker_index: int, trainers_payload: bytes) -> None:
     """Entry point of one worker process: replicas + command loop."""
     from repro.core.checkpoint import apply_exec_state, capture_exec_state
-    from repro.exec.base import relay_worker_alerts
     from repro.telemetry.resources import sample_resources
 
     trainers = pickle.loads(trainers_payload)
@@ -105,12 +104,6 @@ def _worker_main(conn, worker_index: int, trainers_payload: bytes) -> None:
                             losses = t.train_steps(n_steps)
                         finally:
                             t.telemetry = None
-                        # Worker-side alert relay: a NaN is flagged where
-                        # it happened and rides the event replay home.
-                        relay_worker_alerts(
-                            recorder, t.name, losses,
-                            backend="process", worker=worker_index,
-                        )
                         results.append(
                             (
                                 t.name,
@@ -147,10 +140,6 @@ def _worker_main(conn, worker_index: int, trainers_payload: bytes) -> None:
                         losses = t.train_steps(n_steps)
                     finally:
                         t.telemetry = None
-                    relay_worker_alerts(
-                        recorder, t.name, losses,
-                        backend="process", worker=worker_index,
-                    )
                     wall_origin = base_tracer.wall_origin if tracing else None
                     conn.send(
                         (

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.exec.base import ExecutionBackend, relay_worker_alerts
+from repro.exec.base import ExecutionBackend
 from repro.telemetry.resources import emit_resource_sample
 
 __all__ = ["SerialBackend"]
@@ -40,14 +40,7 @@ class SerialBackend(ExecutionBackend):
     def train_round(
         self, round_index: int, n_steps: int
     ) -> dict[str, dict[str, float]]:
-        results = {}
-        for t in self._trainers:
-            results[t.name] = t.train_steps(n_steps)
-            if self._telemetry is not None and self._telemetry.active:
-                relay_worker_alerts(
-                    self._telemetry, t.name, results[t.name],
-                    backend=self.name, worker=0,
-                )
+        results = {t.name: t.train_steps(n_steps) for t in self._trainers}
         # All trainer work runs in the driver process, so one sample per
         # train phase is the complete resource picture.
         emit_resource_sample(

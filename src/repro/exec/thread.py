@@ -18,11 +18,7 @@ import copy
 import os
 from concurrent.futures import ThreadPoolExecutor, as_completed
 
-from repro.exec.base import (
-    EventRecorder,
-    ExecutionBackend,
-    relay_worker_alerts,
-)
+from repro.exec.base import EventRecorder, ExecutionBackend
 from repro.telemetry.resources import emit_resource_sample
 
 __all__ = ["ThreadBackend"]
@@ -106,12 +102,7 @@ class ThreadBackend(ExecutionBackend):
         finally:
             for t, hub in zip(self._trainers, saved_hubs):
                 t.telemetry = hub
-        for t, rec, loss in zip(self._trainers, recorders, losses):
-            # Fast-flag non-finite losses into the recorder so the alert
-            # replays in-order with the trainer's own events.
-            relay_worker_alerts(
-                rec, t.name, loss, backend=self.name, worker=t.worker_index
-            )
+        for rec in recorders:
             rec.replay_into(self._telemetry)
         # Threads share the driver's address space, so one driver-process
         # sample per train phase covers every worker.
@@ -151,10 +142,6 @@ class ThreadBackend(ExecutionBackend):
                 t, rec, hub = swapped.pop(name)
                 t.telemetry = hub
                 losses[name] = future.result()
-                relay_worker_alerts(
-                    rec, name, losses[name],
-                    backend=self.name, worker=t.worker_index,
-                )
                 rec.replay_into(self._telemetry)
                 on_ready(name)
         finally:

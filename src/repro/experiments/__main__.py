@@ -78,7 +78,6 @@ def _quality_bench(args):
             metrics=args._metrics,
             trace_files=args._trace_files,
             checkpoint_dir=args.checkpoint_dir,
-            live=args.live,
             flight_recorder=args.flight_recorder,
         )
     return args._bench
@@ -90,7 +89,6 @@ def _backend_scaling(args):
         trace_out=args.trace_out,
         metrics=args._metrics,
         trace_files=args._trace_files,
-        live=args.live,
         flight_recorder=args.flight_recorder,
     )
     if args.quick:
@@ -153,7 +151,6 @@ QUALITY_FIGURES = {
         trace_out=args.trace_out,
         metrics=args._metrics,
         trace_files=args._trace_files,
-        live=args.live,
         flight_recorder=args.flight_recorder,
     ),
 }

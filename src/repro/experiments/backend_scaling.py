@@ -84,7 +84,6 @@ def run(
     metrics=None,
     monitor_health: bool = True,
     trace_files: list | None = None,
-    live: bool = False,
     flight_recorder=None,
 ) -> ExperimentReport:
     """Run one fixed-seed LTFB schedule under each backend x depth.
@@ -99,7 +98,7 @@ def run(
     ``trace_out``/``metrics``/``monitor_health``/``trace_files`` follow
     :func:`~repro.experiments.common.observability_callbacks`: every
     backend x depth run gets its own span-enabled trace file and a fresh
-    health monitor, while ``metrics`` accumulates across all of them.
+    health callback, while ``metrics`` accumulates across all of them.
     """
     cores = _available_cores()
     depths = sorted({0, int(prefetch_depth)})
@@ -164,7 +163,6 @@ def run(
                 metrics=metrics,
                 monitor_health=monitor_health,
                 trace_files=trace_files,
-                live=live,
                 flight_recorder=flight_recorder,
             )
             t0 = time.perf_counter()

@@ -102,16 +102,6 @@ def add_runtime_options(parser, seed_default: int = 2019) -> None:
         ),
     )
     parser.add_argument(
-        "--live",
-        action="store_true",
-        help=(
-            "attach the live observability plane to every training run: "
-            "windowed rollups + anomaly alerts (LiveAggregator) feeding "
-            "History.health_warnings during the run and 'alert' events "
-            "into the trace; watch with `python -m repro.telemetry watch`"
-        ),
-    )
-    parser.add_argument(
         "--flight-recorder",
         nargs="?",
         const="flightrec",
@@ -298,7 +288,7 @@ def _fmt(v: object) -> str:
 
 
 def note_health(report: ExperimentReport, history) -> None:
-    """Fold a run's :class:`~repro.telemetry.HealthMonitor` verdict into a
+    """Fold a run's health verdict (``History.health_warnings``) into a
     report's notes (one note per warning; silent for healthy runs)."""
     for w in getattr(history, "health_warnings", ()):
         report.notes.append(f"health: {w.render()}")
@@ -311,7 +301,6 @@ def observability_callbacks(
     monitor_health: bool = False,
     trace_files: "list[Path] | None" = None,
     sample_resources: bool = True,
-    live: bool = False,
     flight_recorder: "str | Path | None" = None,
 ) -> list:
     """Build the per-run observability callback set experiments share.
@@ -321,23 +310,27 @@ def observability_callbacks(
     training run, spans enabled).  ``metrics`` is a shared
     :class:`~repro.telemetry.MetricsCollector` accumulating across every
     run of a session.  ``monitor_health`` attaches a fresh
-    :class:`~repro.telemetry.HealthMonitor` so warnings land in the run's
-    :class:`~repro.core.driver.History`.  ``sample_resources`` attaches a
+    :class:`~repro.telemetry.LiveAggregator` — the one run-health
+    callback — so alerts land in the run's
+    :class:`~repro.core.driver.History` as they fire and in the trace as
+    ``alert`` events (watch with ``python -m repro.telemetry watch``).
+    ``sample_resources`` attaches a
     :class:`~repro.telemetry.ResourceSampler` whenever a trace or metrics
     consumer is configured, so peak-RSS/CPU readings land in the trace
     (``trace-report`` resources section, Perfetto counter tracks) and the
     metrics gauges.  Opened trace paths are appended to ``trace_files``
     when given, so callers can report what they wrote.
 
-    ``live`` attaches the live observability plane
-    (:class:`~repro.telemetry.LiveAggregator`): windowed rollups with
-    anomaly alerts fed into ``History.health_warnings`` during the run
-    and emitted as ``alert`` trace events.  ``flight_recorder`` (a
-    directory) attaches a :class:`~repro.telemetry.FlightRecorder` that
-    dumps a post-mortem bundle there on crash/critical alert/SIGTERM.
-    Each run gets a fresh instance of both (their state is per-run).
+    ``flight_recorder`` (a directory) attaches a fresh
+    :class:`~repro.telemetry.FlightRecorder` that dumps a post-mortem
+    bundle there on crash/critical alert/SIGTERM.
     """
-    from repro.telemetry import HealthMonitor, JsonlTraceWriter, ResourceSampler
+    from repro.telemetry import (
+        FlightRecorder,
+        JsonlTraceWriter,
+        LiveAggregator,
+        ResourceSampler,
+    )
 
     callbacks: list = []
     if trace_out is not None:
@@ -355,16 +348,10 @@ def observability_callbacks(
     if metrics is not None:
         callbacks.append(metrics)
     if monitor_health:
-        callbacks.append(HealthMonitor())
+        callbacks.append(LiveAggregator())
     if sample_resources and (trace_out is not None or metrics is not None):
         callbacks.append(ResourceSampler())
-    if live:
-        from repro.telemetry import LiveAggregator
-
-        callbacks.append(LiveAggregator())
     if flight_recorder is not None:
-        from repro.telemetry import FlightRecorder
-
         callbacks.append(FlightRecorder(out_dir=flight_recorder))
     return callbacks
 
@@ -394,7 +381,6 @@ class QualityWorkbench:
         monitor_health: bool = True,
         trace_files: "list[Path] | None" = None,
         checkpoint_dir: "str | Path | None" = None,
-        live: bool = False,
         flight_recorder: "str | Path | None" = None,
     ) -> None:
         self.seed = seed
@@ -409,15 +395,13 @@ class QualityWorkbench:
         # Observability: when trace_out is set, every training run the
         # workbench hosts writes its own span-enabled JSONL trace (tag
         # folded into the filename); metrics is a shared
-        # MetricsCollector; monitor_health attaches a HealthMonitor per
-        # run so History.health_warnings is populated.
+        # MetricsCollector; monitor_health attaches a LiveAggregator per
+        # run so History.health_warnings is populated as alerts fire.
         self.trace_out = trace_out
         self.metrics = metrics
         self.monitor_health = bool(monitor_health)
-        # Live observability plane: each run gets a fresh LiveAggregator
-        # (anomaly alerts during the run) and/or FlightRecorder dumping
-        # post-mortem bundles under `flight_recorder`.
-        self.live = bool(live)
+        # Each run gets a fresh FlightRecorder dumping post-mortem
+        # bundles under `flight_recorder`, when set.
         self.flight_recorder = flight_recorder
         # Callers may hand in a shared list to collect trace paths across
         # several workbenches/reports (the CLI does).
@@ -482,7 +466,7 @@ class QualityWorkbench:
 
     def run_callbacks(self, tag: str) -> list:
         """Observability callbacks for one training run under ``tag``
-        (trace writer, shared metrics collector, health monitor — each
+        (trace writer, shared metrics collector, health callback — each
         only when configured; see :func:`observability_callbacks`)."""
         return observability_callbacks(
             tag,
@@ -490,7 +474,6 @@ class QualityWorkbench:
             metrics=self.metrics,
             monitor_health=self.monitor_health,
             trace_files=self.trace_files,
-            live=self.live,
             flight_recorder=self.flight_recorder,
         )
 

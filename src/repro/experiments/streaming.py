@@ -288,7 +288,6 @@ def run(
     trace_out=None,
     metrics=None,
     trace_files=None,
-    live: bool = False,
     flight_recorder=None,
 ) -> ExperimentReport:
     """The streaming-ingestion study: live universe + mid-run resume.
@@ -314,7 +313,6 @@ def run(
         metrics=metrics,
         monitor_health=True,
         trace_files=trace_files,
-        live=live,
         flight_recorder=flight_recorder,
     )
 

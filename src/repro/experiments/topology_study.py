@@ -18,7 +18,7 @@ loss per round:
   serial backend this is a deterministic reordering of LTFB's work, so
   any quality difference is pure pairing-structure effect).
 
-Every run's :class:`~repro.telemetry.HealthMonitor` verdict is folded
+Every run's health verdict (``History.health_warnings``) is folded
 into the report, so a topology that collapses the population (one model
 sweeping every tournament or grid cell) is visible next to its loss
 curve.

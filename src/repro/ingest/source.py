@@ -93,12 +93,14 @@ class StreamingSource:
         round_index: int | None = None,
     ) -> int:
         """Run one ingestion beat; returns samples admitted this poll."""
-        self.campaign.pump(self.channel, self.tasks_per_poll)
+        published = self.campaign.pump(self.channel, self.tasks_per_poll)
         stale = self.channel.evict_stale(self.campaign.clock_s)
         # Snapshot backpressure *before* draining: a full drain always
         # releases the pause, so the post-drain reading would hide the
-        # producer-side stall the live plane wants to see.
-        paused = self.channel.paused
+        # producer-side stall the live plane wants to see.  Only a pump
+        # the pause cut short counts: a pause that engages on the last
+        # sample of the per-poll budget held nobody back.
+        paused = self.channel.paused and published < self.tasks_per_poll
         peak_occupancy = self.channel.depth / self.channel.capacity
         drained = self.channel.drain()
         version_before = self.universe.version

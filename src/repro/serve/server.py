@@ -13,8 +13,9 @@ phase is instrumented through the existing telemetry stacks:
 - spans (``serve.queue_wait`` / ``serve.batch_assembly`` /
   ``serve.forward`` / ``serve.cache``) through the hub tracer, so served
   traffic lands on the same timeline as training when both share a hub;
-- HealthMonitor-style ``health`` events for queue saturation and
-  deadline misses.
+- ``alert`` events (``source="serve"``, the one run-health event — see
+  :mod:`repro.telemetry.live`) for queue saturation, deadline misses
+  and quality-gate refusals.
 
 Version consistency: executors capture the registry's current model once
 per batch, the response cache is cleared on every reload, and a cache
@@ -42,7 +43,8 @@ from repro.serve.errors import (
     ServerOverloadedError,
 )
 from repro.serve.registry import GateDecision, ModelRegistry, ServingModel
-from repro.telemetry.events import HEALTH, SERVE, TelemetryHub
+from repro.telemetry.events import ALERT, SERVE, TelemetryHub
+from repro.telemetry.live import Alert
 from repro.telemetry.metrics import MetricsRegistry, TIME_BUCKETS
 
 __all__ = ["ServeConfig", "ServeResponse", "SurrogateServer"]
@@ -233,14 +235,10 @@ class SurrogateServer:
             return
         self._warned.add(kind)
         if self.telemetry is not None:
-            self.telemetry.emit(
-                HEALTH,
-                kind=kind,
-                severity=severity,
-                round=-1,  # serving is out-of-campaign
-                trainer=None,
-                message=message,
+            alert = Alert(
+                kind=kind, severity=severity, message=message, source="serve"
             )
+            self.telemetry.emit(ALERT, **alert.to_payload())
 
     # -- lifecycle -----------------------------------------------------------
 

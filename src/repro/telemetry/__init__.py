@@ -14,21 +14,22 @@ Shipped callbacks:
 - :class:`CounterAggregator` — exchange bytes, adoption rate, datastore
   local/remote fetch counters, checkpoint traffic;
 - :class:`ProgressLogger` — one line per round (plus in-line health
-  warnings);
+  alerts);
 - :class:`MetricsCollector` — counters/gauges/histograms with p50/p95/p99
   summaries, exportable as JSON or Prometheus text;
-- :class:`HealthMonitor` — NaN/divergence, win-rate collapse, and
-  stall-regression detection into ``History.health_warnings``;
 - :class:`ResourceSampler` — periodic peak-RSS/CPU readings of the driver
   process as ``resource_sample`` events (execution backends add worker
   samples), surfaced in ``trace-report``, metrics gauges, and Perfetto
   counter tracks;
 - :class:`LiveAggregator` / :class:`FlightRecorder` — the live
-  observability plane (:mod:`repro.telemetry.live`): windowed rollups
-  with anomaly alerts fed into ``History.health_warnings`` *during* the
-  run, and a bounded ring of recent events dumped as a post-mortem
-  bundle on crash/critical alert/SIGTERM.  ``python -m repro.telemetry
-  watch`` renders the live status surface from a trace.
+  observability plane (:mod:`repro.telemetry.live`): the one run-health
+  path — windowed rollups plus six rules (NaN loss, stall regression,
+  win-rate collapse, quality collapse, ingest backpressure, serve SLO
+  burn) whose :class:`Alert` rows land in ``History.health_warnings``
+  *during* the run and on the bus as ``alert`` events — and a bounded
+  ring of recent events dumped as a post-mortem bundle on
+  crash/critical alert/SIGTERM.  ``python -m repro.telemetry watch``
+  renders the live status surface from a trace.
 
 Profiling spans (:mod:`repro.telemetry.spans`) ride the same bus as
 ``span`` events when tracing is enabled
@@ -38,15 +39,15 @@ JSON.
 
 Typical use::
 
-    from repro.telemetry import (HealthMonitor, JsonlTraceWriter,
+    from repro.telemetry import (JsonlTraceWriter, LiveAggregator,
                                  MetricsCollector, WallClockTimer)
 
     timer, metrics = WallClockTimer(), MetricsCollector()
     history = driver.run(callbacks=[
         JsonlTraceWriter("trace.jsonl", spans=True), timer, metrics,
-        HealthMonitor(),
+        LiveAggregator(),
     ])
-    print(timer.summary())
+    print(timer.summary(), history.healthy)
     print(metrics.registry.render_prometheus())
 
 and afterwards ``python -m repro.experiments trace-report trace.jsonl``
@@ -68,7 +69,6 @@ from repro.telemetry.events import (
     EVENT_TYPES,
     EXCHANGE,
     FETCH_STALL,
-    HEALTH,
     PREFETCH_FILL,
     RESOURCE_SAMPLE,
     ROUND_END,
@@ -80,11 +80,9 @@ from repro.telemetry.events import (
     TelemetryHub,
 )
 from repro.telemetry.export import chrome_trace, export_chrome_trace
-from repro.telemetry.health import HealthMonitor, HealthWarning
 from repro.telemetry.live import (
     Alert,
     AlertEngine,
-    EwmaDetector,
     FlightRecorder,
     LiveAggregator,
     RollingWindow,
@@ -129,7 +127,6 @@ __all__ = [
     "PREFETCH_FILL",
     "CHECKPOINT",
     "SPAN",
-    "HEALTH",
     "ALERT",
     "SERVE",
     "RESOURCE_SAMPLE",
@@ -148,10 +145,7 @@ __all__ = [
     "collect_metrics",
     "render_metrics",
     "write_metrics",
-    "HealthMonitor",
-    "HealthWarning",
     "RollingWindow",
-    "EwmaDetector",
     "Alert",
     "AlertEngine",
     "LiveAggregator",

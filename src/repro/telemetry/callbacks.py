@@ -109,9 +109,10 @@ class JsonlTraceWriter(Callback):
     """
 
     #: Trace schema version; bumped when record shapes change
-    #: incompatibly.  Version 1 traces (pre-header) are still readable —
-    #: the header is optional on load — but new traces always carry one.
-    SCHEMA_VERSION = 2
+    #: incompatibly (3: ``alert`` is the only warning event, ``health``
+    #: is gone).  Version 1 traces (pre-header) are still readable — the
+    #: header is optional on load — but new traces always carry one.
+    SCHEMA_VERSION = 3
 
     def __init__(self, path, metadata: Mapping | None = None,
                  spans: bool = False) -> None:
@@ -420,8 +421,8 @@ class ProgressLogger(Callback):
 
     Shows the round index, the train-phase time, and — when the driver
     evaluates on a global batch — the population-best value of ``metric``.
-    ``health`` events (from a :class:`~repro.telemetry.health.
-    HealthMonitor` subscribed alongside) print as indented ``health:``
+    ``alert`` events (from a :class:`~repro.telemetry.live.
+    LiveAggregator` subscribed alongside) print as indented ``health[...]``
     lines under the round they surfaced in; any still pending at run end
     (e.g. raised by the final round's own ``round_end`` processing) are
     flushed then.
@@ -444,7 +445,7 @@ class ProgressLogger(Callback):
         if metrics is not None:
             self._last_eval = metrics
 
-    def on_health(self, event: TelemetryEvent) -> None:
+    def on_alert(self, event: TelemetryEvent) -> None:
         p = event.payload
         self._pending_health.append(
             f"  health[{p.get('severity', 'warning')}] "

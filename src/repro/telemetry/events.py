@@ -35,7 +35,6 @@ __all__ = [
     "PREFETCH_FILL",
     "CHECKPOINT",
     "SPAN",
-    "HEALTH",
     "ALERT",
     "SERVE",
     "RESOURCE_SAMPLE",
@@ -105,8 +104,8 @@ DATASTORE_FETCH = "datastore_fetch"
 #: poll), ``producer_lag`` (samples published but not yet drained, drops
 #: included), ``store_occupancy`` (max per-rank occupancy fraction
 #: across attached stores, 0.0 with no stores), ``paused`` (whether the
-#: channel's high-watermark backpressure was engaged after the pump,
-#: before draining) and ``channel_occupancy`` (pre-drain channel depth
+#: channel's high-watermark pause cut this poll's pump short of its
+#: ``tasks_per_poll`` budget — the producer was held back) and ``channel_occupancy`` (pre-drain channel depth
 #: as a fraction of its capacity).
 INGEST = "ingest"
 
@@ -140,28 +139,21 @@ CHECKPOINT = "checkpoint"
 #: ``attrs`` (site-specific annotations).
 SPAN = "span"
 
-#: A :class:`~repro.telemetry.health.HealthMonitor` flagged a run-health
-#: problem.  Payload: ``kind`` (``nan_loss``/``divergence``/
-#: ``winrate_collapse``/``stall_regression``/``quality_collapse``, plus
-#: serve-side kinds like ``quality_gate_refusal``), ``severity``
-#: (``"warning"``/``"critical"``), ``round``, ``trainer`` (may be
-#: ``None``), ``message``.
-HEALTH = "health"
-
-#: The live observability plane (:mod:`repro.telemetry.live`) fired a
-#: typed alert: an anomaly detector tripped, a worker fast-flagged a
-#: non-finite loss, or a rollup crossed a configured threshold.  Payload:
-#: ``kind`` (e.g. ``step_time_anomaly``/``stall_spike``/
-#: ``stall_regression``/``nan_loss``/``ingest_backpressure``/
-#: ``serve_slo_burn``/``quality_collapse``), ``severity``
-#: (``"warning"``/``"critical"``),
-#: ``source`` (subsystem: ``train``/``data``/``ingest``/``serve``/
-#: ``exchange``), ``round`` (may be ``None`` outside a campaign),
-#: ``trainer`` (may be ``None``), ``message``, ``value``/``threshold``
-#: (the observed reading and the limit it crossed, ``None`` when a
-#: detector has no scalar form) and ``origin`` (``"live"`` for the
-#: driver-side engine, ``"worker"`` for alerts relayed from execution
-#: workers).
+#: A run-health rule fired.  The one warning event: every rule of
+#: :class:`~repro.telemetry.live.LiveAggregator` emits it at fire time,
+#: and the surrogate server emits its own admission warnings with it.
+#: Payload (the :meth:`~repro.telemetry.live.Alert.to_payload` shape):
+#: ``kind`` (``nan_loss``/``stall_regression``/``winrate_collapse``/
+#: ``quality_collapse``/``ingest_backpressure``/``serve_slo_burn``, plus
+#: the server's ``serve_overload``/``serve_queue_depth``/
+#: ``serve_deadline_miss``/``quality_gate_refusal``), ``severity``
+#: (``"warning"``/``"critical"``), ``source`` (subsystem: ``train``/
+#: ``data``/``exchange``/``eval``/``ingest``/``serve``), ``round`` (may
+#: be ``None`` outside a campaign), ``trainer`` (may be ``None``),
+#: ``neighborhood`` (the topology neighborhood a ``winrate_collapse`` is
+#: confined to, else ``None``), ``message``, and ``value``/``threshold``
+#: (the observed reading and the limit it crossed, ``None`` when a rule
+#: has no scalar form).
 ALERT = "alert"
 
 #: The surrogate server executed one micro-batch.  Payload: ``size``
@@ -195,7 +187,6 @@ EVENT_TYPES = frozenset(
         PREFETCH_FILL,
         CHECKPOINT,
         SPAN,
-        HEALTH,
         ALERT,
         SERVE,
         RESOURCE_SAMPLE,

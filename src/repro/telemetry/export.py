@@ -13,7 +13,7 @@ Mapping:
 - every span becomes one complete event (``"ph": "X"``) with
   microsecond ``ts``/``dur`` on the shared hub timeline; span ids and
   parent ids ride in ``args``;
-- every ``health`` event becomes a global instant event (``"ph": "i"``)
+- every ``alert`` event becomes a global instant event (``"ph": "i"``)
   so failures are visible at the moment they were detected;
 - every ``resource_sample`` event becomes counter events (``"ph": "C"``)
   — one RSS track and one CPU track per sampled process — so memory
@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 from typing import Iterable
 
-from repro.telemetry.events import HEALTH, RESOURCE_SAMPLE, SPAN, TelemetryEvent
+from repro.telemetry.events import ALERT, RESOURCE_SAMPLE, SPAN, TelemetryEvent
 
 __all__ = ["chrome_trace", "export_chrome_trace"]
 
@@ -56,7 +56,7 @@ def chrome_trace(
     carried through under ``otherData`` for provenance.
     """
     spans = [e for e in events if e.type == SPAN]
-    health = [e for e in events if e.type == HEALTH]
+    health = [e for e in events if e.type == ALERT]
     samples = [e for e in events if e.type == RESOURCE_SAMPLE]
     tids = _track_order(
         [str(e.payload.get("track", "main")) for e in spans]

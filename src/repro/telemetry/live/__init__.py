@@ -5,22 +5,21 @@ written during the run, ``trace-report`` afterwards.  This package is the
 "is the run healthy *right now*" layer the streamed/serving deployments
 need:
 
-- :class:`RollingWindow` / :class:`EwmaDetector` — bounded ring-buffer
-  time series and streaming z-score anomaly detection;
+- :class:`RollingWindow` — bounded ring-buffer time series;
 - :class:`Alert` / :class:`AlertEngine` — typed alerts with severity,
   dedup keys, and round-based cooldown;
-- :class:`LiveAggregator` — the callback that folds the hub's event
-  stream into windows, runs the detectors, routes admitted alerts into
-  ``History.health_warnings`` *during* the run and re-emits them as
-  ``alert`` telemetry events;
+- :class:`LiveAggregator` — the one run-health callback: folds the hub's
+  event stream into windows, runs the six health rules, routes admitted
+  alerts into ``History.health_warnings`` *during* the run and emits
+  them as ``alert`` telemetry events;
 - :class:`FlightRecorder` — a bounded per-subsystem ring of recent
   events, dumped as an atomic JSON post-mortem bundle on crash, critical
   alert, or SIGTERM;
 - ``python -m repro.telemetry watch <trace.jsonl>`` — a terminal status
   surface rendered from a running (``--follow``) or finished trace.
 
-Typical wiring (the experiments CLI does this under ``--live`` /
-``--flight-recorder``)::
+Typical wiring (the experiments CLI attaches the aggregator to every
+training run, the recorder under ``--flight-recorder``)::
 
     from repro.telemetry.live import FlightRecorder, LiveAggregator
 
@@ -36,11 +35,10 @@ from repro.telemetry.live.recorder import (
     FlightRecorder,
     load_bundle,
 )
-from repro.telemetry.live.windows import EwmaDetector, RollingWindow
+from repro.telemetry.live.windows import RollingWindow
 
 __all__ = [
     "RollingWindow",
-    "EwmaDetector",
     "Alert",
     "AlertEngine",
     "LiveAggregator",

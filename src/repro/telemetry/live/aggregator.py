@@ -1,32 +1,71 @@
-"""The live aggregation callback: windows + detectors + alert routing.
+"""The run-health callback: windowed rollups, six rules, one alert path.
 
-:class:`LiveAggregator` subscribes to a :class:`~repro.telemetry.events.
-TelemetryHub` like any other callback, but instead of archiving events it
-folds them into bounded :class:`~repro.telemetry.live.windows.
-RollingWindow` rollups (step time, fetch stall, exchange bytes, ingest
-admit/evict rates, channel occupancy, serve queue depth and latency) and
-runs streaming anomaly detectors over them.  Detections route through an
+Population training at the paper's scale fails in characteristic ways —
+a trainer's adversarial loss goes non-finite, one generator sweeps every
+tournament (the diversity LTFB exists to keep), the data path dominates
+the step, a generator mode-collapses while its losses still improve, the
+ingest channel backs up, the serving SLO burns.  :class:`LiveAggregator`
+subscribes to a :class:`~repro.telemetry.events.TelemetryHub` like any
+other callback, folds the event stream into bounded
+:class:`~repro.telemetry.live.windows.RollingWindow` rollups (step time,
+fetch stall, exchange bytes, ingest admit/evict rates, channel occupancy,
+serve queue depth and latency, probed divergence) for the status
+surface, and runs one rule per failure mode over it:
+
+================== ======== ======== ==================================
+kind               source   severity fires when
+================== ======== ======== ==================================
+nan_loss           train    critical a ``step_end`` loss term is
+                                     non-finite
+stall_regression   data     warning  a post-warmup round's summed fetch
+                                     stall exceeds a fraction of its
+                                     train phase
+winrate_collapse   exchange warning  one trainer won nearly every
+                                     adoption in the recent rounds, in
+                                     the population or in one topology
+                                     neighborhood
+quality_collapse   eval     warning/ a trainer's probed divergence blew
+                            critical past a multiple of its best value
+                                     (critical when its loss held or
+                                     improved meanwhile)
+ingest_backpressure ingest  warning  the channel's high-watermark pause
+                                     held an ingest poll's pump back
+serve_slo_burn     serve    critical too many windowed micro-batches
+                                     exceeded the latency SLO
+================== ======== ======== ==================================
+
+Every rule is a function of *what happened* (a value, a count, a ratio
+of two phases of the same round), never of how one host-timed reading
+compares with its neighbours, so a clean run ends with zero warnings.
+Step time and fetch stall stay visible as readings — the windows'
+p50/p95/p99, per-trainer ``last_step_s`` — not as verdicts.
+
+Detections route through one
 :class:`~repro.telemetry.live.alerts.AlertEngine` (dedup + cooldown);
 admitted alerts are
 
-- re-emitted as first-class ``alert`` telemetry events (so traces keep
-  them and the watch CLI can replay them),
 - appended to ``History.health_warnings`` *at fire time* — a failing run
-  is flagged while it is still running, not at ``on_run_end``.
+  is flagged while it is still running, not at ``on_run_end``;
+- emitted as ``alert`` telemetry events, which is what every other
+  consumer reads (progress lines, metrics, traces and their reports,
+  Perfetto instants, the flight recorder, the watch CLI).
 
+``alert`` events from other producers (the surrogate server's admission
+warnings) are admitted through the same engine when they share the hub.
 The whole thing is O(window) memory regardless of run length, which is
 what lets it sit on a streamed campaign that never ends.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
+from collections import deque
 
 from repro.telemetry.callbacks import Callback
 from repro.telemetry.events import ALERT, TelemetryEvent
-from repro.telemetry.health import HealthWarning
 from repro.telemetry.live.alerts import Alert, AlertEngine
-from repro.telemetry.live.windows import EwmaDetector, RollingWindow
+from repro.telemetry.live.windows import RollingWindow
 
 __all__ = ["LiveAggregator"]
 
@@ -56,37 +95,56 @@ def _mean_loss(losses: dict | None) -> float | None:
 
 
 class LiveAggregator(Callback):
-    """Streaming rollups and anomaly alerts over a live event stream.
+    """Streaming rollups and run-health alerts over a live event stream.
 
     Parameters
     ----------
     window:
         Ring-buffer length of every rollup series.
-    z_threshold / alpha / detector_warmup:
-        EWMA z-score detector configuration (shared by the step-time and
-        fetch-stall detectors).
+    collapse_window / collapse_share / collapse_min_adoptions:
+        Win-rate collapse: flag when a single trainer won at least
+        ``collapse_share`` of all adoptions over the last
+        ``collapse_window`` rounds, once at least
+        ``collapse_min_adoptions`` happened in them.
+    neighborhood_min_adoptions:
+        Like ``collapse_min_adoptions``, but for the per-neighborhood
+        check: tournament events from spatial topologies (cellular grids)
+        carry a ``neighborhood`` label, and a neighborhood adopts at most
+        once per round, so its threshold must be reachable within the
+        window.  One trainer sweeping a single grid cell is an early,
+        local signal of the population-wide collapse.
     stall_fraction_threshold / warmup_rounds:
-        Round-level stall-regression gate, mirroring
-        :class:`~repro.telemetry.health.HealthMonitor` semantics: flag a
-        post-warmup round whose summed fetch stall exceeds the fraction
-        of its train phase.
+        Flag a round whose summed fetch stall exceeds this fraction of
+        the train phase (the data path dominates compute), exempting the
+        first ``warmup_rounds`` (first-epoch ingest is expected to stall
+        — that is the paper's Fig. 10 initial epoch).
+    quality_factor / quality_min_points:
+        Flag ``quality_collapse`` when a trainer's probed divergence
+        exceeds ``quality_factor`` times the best (lowest) value it has
+        reached, once more than ``quality_min_points`` probe readings
+        have landed (the first readings define the floor).  Generous by
+        design: early divergence estimates wobble while the generator
+        finds the support.
     serve_slo_s / slo_burn_threshold / slo_min_samples:
         Serving SLO: alert when more than ``slo_burn_threshold`` of the
         windowed micro-batch latencies exceed ``serve_slo_s`` (once at
         least ``slo_min_samples`` batches are in the window).
     cooldown_rounds:
         Alert-engine cooldown (see :class:`~repro.telemetry.live.alerts.
-        AlertEngine`).
+        AlertEngine`): a standing problem re-alerts at most this often.
     """
 
     def __init__(
         self,
         window: int = 256,
-        z_threshold: float = 4.0,
-        alpha: float = 0.25,
-        detector_warmup: int = 8,
+        collapse_window: int = 5,
+        collapse_share: float = 0.9,
+        collapse_min_adoptions: int = 6,
+        neighborhood_min_adoptions: int = 4,
         stall_fraction_threshold: float = 0.5,
         warmup_rounds: int = 1,
+        quality_factor: float = 3.0,
+        quality_min_points: int = 2,
         serve_slo_s: float | None = None,
         slo_burn_threshold: float = 0.5,
         slo_min_samples: int = 8,
@@ -95,14 +153,13 @@ class LiveAggregator(Callback):
         self.windows: dict[str, RollingWindow] = {
             name: RollingWindow(window) for name in WINDOW_SERIES
         }
-        self._detector_cfg = dict(
-            alpha=alpha, z_threshold=z_threshold, warmup=detector_warmup
-        )
-        # One detector per (series, trainer-or-None): a slow trainer must
-        # not inflate the baseline its healthy peers are judged against.
-        self._detectors: dict[tuple[str, str | None], EwmaDetector] = {}
+        self.collapse_share = float(collapse_share)
+        self.collapse_min_adoptions = int(collapse_min_adoptions)
+        self.neighborhood_min_adoptions = int(neighborhood_min_adoptions)
         self.stall_fraction_threshold = float(stall_fraction_threshold)
         self.warmup_rounds = int(warmup_rounds)
+        self.quality_factor = float(quality_factor)
+        self.quality_min_points = int(quality_min_points)
         self.serve_slo_s = serve_slo_s
         self.slo_burn_threshold = float(slo_burn_threshold)
         self.slo_min_samples = int(slo_min_samples)
@@ -117,15 +174,24 @@ class LiveAggregator(Callback):
         self.last_quality: dict | None = None
         self.adoptions = 0
         self.tournaments = 0
-        self.health_events = 0
         self._round_stall_s = 0.0
-        # Quality-collapse context: best probed divergence per trainer
-        # and the mean loss recorded when that floor was set, so a
-        # detection can say whether the loss still looked healthy.
+        # Win-rate window: per-round {group: {winner: adoptions}} maps,
+        # where group None is the whole population and named groups are
+        # topology neighborhoods (every adoption counts toward both).
+        self._win_rounds: deque[dict[str | None, dict[str, int]]] = deque(
+            maxlen=int(collapse_window)
+        )
+        self._round_wins: dict[str | None, dict[str, int]] = {}
+        # Quality-collapse state: per trainer, the best (lowest) probed
+        # divergence, how many probe points have landed, and the mean
+        # loss recorded when that floor was set, so a detection can say
+        # whether the loss still looked healthy.
         self._div_floor: dict[str, float] = {}
-        self._loss_at_floor: dict[str, float | None] = {}
+        self._div_points: dict[str, int] = {}
+        self._loss_at_floor: dict[str, float] = {}
         self._hub = None
         self._history = None
+        self._emitting = False
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -147,14 +213,7 @@ class LiveAggregator(Callback):
         self._history = history
         return self
 
-    # -- detection plumbing --------------------------------------------------
-
-    def _detector(self, series: str, trainer: str | None) -> EwmaDetector:
-        key = (series, trainer)
-        det = self._detectors.get(key)
-        if det is None:
-            det = self._detectors[key] = EwmaDetector(**self._detector_cfg)
-        return det
+    # -- alert plumbing ------------------------------------------------------
 
     def _fire(self, alert: Alert, emit: bool = True) -> bool:
         """Route one detection: engine admission, then the live sinks."""
@@ -163,20 +222,26 @@ class LiveAggregator(Callback):
         if self._history is not None and hasattr(
             self._history, "health_warnings"
         ):
-            self._history.health_warnings.append(
-                HealthWarning(
-                    kind=alert.kind,
-                    round_index=alert.round_index
-                    if alert.round_index is not None
-                    else -1,
-                    trainer=alert.trainer,
-                    message=alert.message,
-                    severity=alert.severity,
-                )
-            )
+            self._history.health_warnings.append(alert)
         if emit and self._hub is not None:
-            self._hub.emit(ALERT, **alert.to_payload())
+            self._emitting = True
+            try:
+                self._hub.emit(ALERT, **alert.to_payload())
+            finally:
+                self._emitting = False
         return True
+
+    def on_alert(self, event: TelemetryEvent) -> None:
+        # Our own emissions were processed at fire time; alerts from
+        # other producers on the hub (the surrogate server's admission
+        # warnings) and alerts replayed from a trace are admitted through
+        # the same engine, so they land in history/snapshot exactly once.
+        if self._emitting:
+            return
+        alert = Alert.from_payload(event.payload)
+        if alert.round_index is None and self.round_index is not None:
+            alert = dataclasses.replace(alert, round_index=self.round_index)
+        self._fire(alert, emit=False)
 
     # -- event folds ---------------------------------------------------------
 
@@ -193,8 +258,10 @@ class LiveAggregator(Callback):
             k: float(v) for k, v in (p.get("losses") or {}).items()
         }
         state["worker"] = p.get("worker")
-        for term, value in (p.get("losses") or {}).items():
-            if not math.isfinite(float(value)):
+        for term, value in state["losses"].items():
+            if not math.isfinite(value):
+                # One alert per interval names the first bad term; the
+                # rest share its dedup key and would only be suppressed.
                 self._fire(
                     Alert(
                         kind="nan_loss",
@@ -204,54 +271,16 @@ class LiveAggregator(Callback):
                         trainer=str(trainer),
                         message=(
                             f"trainer {trainer}: loss term {term!r} "
-                            f"is {float(value)}"
+                            f"is {value}"
                         ),
                     )
                 )
-        det = self._detector("step_time_s", str(trainer))
-        z = det.update(per_step)
-        if det.is_anomaly(z):
-            self._fire(
-                Alert(
-                    kind="step_time_anomaly",
-                    severity="warning",
-                    source="train",
-                    round_index=self.round_index,
-                    trainer=str(trainer),
-                    value=per_step,
-                    threshold=det.z_threshold,
-                    message=(
-                        f"trainer {trainer}: step time {per_step * 1e3:.2f}ms "
-                        f"is {z:.1f} sigma above its EWMA baseline"
-                    ),
-                )
-            )
+                break
 
     def on_fetch_stall(self, event: TelemetryEvent) -> None:
-        p = event.payload
-        stall = float(p.get("stall_s", 0.0))
+        stall = float(event.payload.get("stall_s", 0.0))
         self.windows["fetch_stall_s"].push(event.time_s, stall)
         self._round_stall_s += stall
-        trainer = p.get("trainer")
-        det = self._detector("fetch_stall_s", None)
-        z = det.update(stall)
-        if det.is_anomaly(z):
-            self._fire(
-                Alert(
-                    kind="stall_spike",
-                    severity="warning",
-                    source="data",
-                    round_index=self.round_index,
-                    trainer=str(trainer) if trainer is not None else None,
-                    value=stall,
-                    threshold=det.z_threshold,
-                    message=(
-                        f"fetch stall {stall * 1e3:.2f}ms is {z:.1f} sigma "
-                        f"above the recent baseline"
-                        + (f" (trainer {trainer})" if trainer else "")
-                    ),
-                )
-            )
 
     def on_exchange(self, event: TelemetryEvent) -> None:
         self.windows["exchange_bytes"].push(
@@ -260,8 +289,17 @@ class LiveAggregator(Callback):
 
     def on_tournament(self, event: TelemetryEvent) -> None:
         self.tournaments += 1
-        if event.payload.get("adopted"):
-            self.adoptions += 1
+        if not event.payload.get("adopted"):
+            return
+        self.adoptions += 1
+        winner = str(event.payload.get("partner"))
+        groups: list[str | None] = [None]
+        neighborhood = event.payload.get("neighborhood")
+        if neighborhood is not None:
+            groups.append(str(neighborhood))
+        for group in groups:
+            wins = self._round_wins.setdefault(group, {})
+            wins[winner] = wins.get(winner, 0) + 1
 
     def on_pairing(self, event: TelemetryEvent) -> None:
         p = event.payload
@@ -374,53 +412,67 @@ class LiveAggregator(Callback):
             self.windows["eval_divergence"].push(event.time_s, value)
             state = self.trainers.setdefault(name, {})
             state["divergence"] = value
-            loss_now = _mean_loss(state.get("losses"))
-            floor = self._div_floor.get(name)
-            if floor is None or value < floor:
-                self._div_floor[name] = value
-                self._loss_at_floor[name] = loss_now
-            det = self._detector("eval_divergence", name)
-            z = det.update(value)
-            if det.is_anomaly(z):
-                # Critical when the trainer's loss held or improved while
-                # its output distribution walked away from the reference —
-                # the failure mode loss-based monitors cannot see.
-                loss_then = self._loss_at_floor.get(name)
-                improving = (
-                    loss_now is not None
-                    and loss_then is not None
-                    and loss_now <= loss_then
-                )
-                self._fire(
-                    Alert(
-                        kind="quality_collapse",
-                        severity="critical" if improving else "warning",
-                        source="eval",
-                        round_index=round_index,
-                        trainer=name,
-                        value=value,
-                        threshold=det.z_threshold,
-                        message=(
-                            f"trainer {name}: {metric} divergence {value:.4g} "
-                            f"is {z:.1f} sigma above its EWMA baseline"
-                            + (
-                                " while its training loss still improves"
-                                if improving
-                                else ""
-                            )
-                        ),
-                    )
-                )
+            self._check_quality(name, metric, value, round_index)
         self.last_quality = {
             "round": round_index,
             "metric": metric,
             "divergence": rendered,
         }
 
+    def _check_quality(
+        self, name: str, metric: str, value: float, round_index: int | None
+    ) -> None:
+        loss_now = _mean_loss(self.trainers[name].get("losses"))
+        self._div_points[name] = self._div_points.get(name, 0) + 1
+        floor = self._div_floor.get(name)
+        if floor is None or value < floor:
+            self._div_floor[name] = value
+            if loss_now is not None:
+                self._loss_at_floor[name] = loss_now
+            return
+        limit = self.quality_factor * floor
+        if (
+            self._div_points[name] <= self.quality_min_points
+            or floor <= 0
+            or value <= limit
+        ):
+            return
+        # Critical when the loss got better (or held) while the
+        # distribution walked away — losses cannot see this failure.
+        loss_then = self._loss_at_floor.get(name)
+        improving = (
+            loss_now is not None
+            and loss_then is not None
+            and loss_now <= loss_then
+        )
+        self._fire(
+            Alert(
+                kind="quality_collapse",
+                severity="critical" if improving else "warning",
+                source="eval",
+                round_index=round_index,
+                trainer=name,
+                value=value,
+                threshold=limit,
+                message=(
+                    f"trainer {name}: {metric} divergence at {value:.4g}, "
+                    f"{value / floor:.1f}x its best {floor:.4g}"
+                    + (
+                        " while its training loss still improves"
+                        if improving
+                        else ""
+                    )
+                ),
+            )
+        )
+
     def on_round_end(self, event: TelemetryEvent) -> None:
         p = event.payload
         round_index = int(p.get("round", -1))
         self.round_index = round_index
+        self._win_rounds.append(self._round_wins)
+        self._round_wins = {}
+        self._check_collapse(round_index)
         train_s = float(p.get("train_s", 0.0))
         self.windows["round_train_s"].push(event.time_s, train_s)
         if round_index >= self.warmup_rounds and train_s > 0:
@@ -443,22 +495,49 @@ class LiveAggregator(Callback):
                 )
         self._round_stall_s = 0.0
 
-    def on_health(self, event: TelemetryEvent) -> None:
-        self.health_events += 1
-
-    def on_alert(self, event: TelemetryEvent) -> None:
-        # Alerts relayed from execution workers arrive over the hub like
-        # any worker telemetry; admit them through the same engine so they
-        # land in history/snapshot exactly once.  Our own emissions carry
-        # origin="live" and are skipped — they were processed at fire time.
-        if event.payload.get("origin") != "worker":
-            return
-        import dataclasses
-
-        alert = Alert.from_payload(event.payload)
-        if alert.round_index is None and self.round_index is not None:
-            alert = dataclasses.replace(alert, round_index=self.round_index)
-        self._fire(alert, emit=False)
+    def _check_collapse(self, round_index: int) -> None:
+        totals: dict[str | None, dict[str, int]] = {}
+        for round_groups in self._win_rounds:
+            for group, wins in round_groups.items():
+                group_totals = totals.setdefault(group, {})
+                for name, n in wins.items():
+                    group_totals[name] = group_totals.get(name, 0) + n
+        for group, group_totals in totals.items():
+            adoptions = sum(group_totals.values())
+            floor = (
+                self.collapse_min_adoptions
+                if group is None
+                else self.neighborhood_min_adoptions
+            )
+            if adoptions < floor:
+                continue
+            top, top_wins = max(group_totals.items(), key=lambda kv: kv[1])
+            share = top_wins / adoptions
+            if share < self.collapse_share:
+                continue
+            where, what = (
+                ("", "population")
+                if group is None
+                else (f" in neighborhood {group}", "neighborhood")
+            )
+            self._fire(
+                Alert(
+                    kind="winrate_collapse",
+                    severity="warning",
+                    source="exchange",
+                    round_index=round_index,
+                    trainer=top,
+                    neighborhood=group,
+                    value=share,
+                    threshold=self.collapse_share,
+                    message=(
+                        f"trainer {top} won {top_wins}/{adoptions} adoptions "
+                        f"({share:.0%}){where} over the last "
+                        f"{len(self._win_rounds)} round(s); the {what} is "
+                        f"collapsing onto one model"
+                    ),
+                )
+            )
 
     # -- the status surface --------------------------------------------------
 
@@ -496,7 +575,6 @@ class LiveAggregator(Callback):
                 "judged": self.tournaments,
                 "adoptions": self.adoptions,
             },
-            "health_events": self.health_events,
             "alerts": self.engine.snapshot(),
         }
 

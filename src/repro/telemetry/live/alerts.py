@@ -1,11 +1,12 @@
 """Typed alerts and the dedup/cooldown engine that admits them.
 
-Detectors are deliberately twitchy (a z-score fires on every outlier);
-the :class:`AlertEngine` is the layer that turns raw detections into an
-operator-grade signal: one :class:`Alert` per distinct problem, repeated
-at most once per cooldown period, never an unbounded flood.  Cooldown is
-measured in *rounds*, not wall seconds, so admission decisions replay
-deterministically from a trace.
+A health rule re-detects a standing problem on every event that shows it
+(a NaN trainer reports NaN every step); the :class:`AlertEngine` is the
+layer that turns raw detections into an operator-grade signal: one
+:class:`Alert` per distinct problem, repeated at most once per cooldown
+period, never an unbounded flood.  Cooldown is measured in *rounds*, not
+wall seconds, so admission decisions replay deterministically from a
+trace.
 """
 
 from __future__ import annotations
@@ -17,33 +18,33 @@ __all__ = ["Alert", "AlertEngine"]
 
 @dataclass(frozen=True)
 class Alert:
-    """One admitted run-health alert from the live plane."""
+    """One run-health warning — the row type of
+    ``History.health_warnings`` and the payload of ``alert`` events."""
 
     kind: str
     severity: str  # "warning" | "critical"
     message: str
-    source: str = "train"  # train | data | ingest | serve | exchange
+    source: str = "train"  # train | data | exchange | eval | ingest | serve
     round_index: int | None = None
     trainer: str | None = None
+    #: The topology neighborhood a ``winrate_collapse`` is confined to
+    #: (``None`` = the whole population, and every other kind).
+    neighborhood: str | None = None
     #: The observed reading and the limit it crossed, when the alert has
-    #: a scalar form (z-score detections carry the z and the threshold).
+    #: a scalar form.
     value: float | None = None
     threshold: float | None = None
-    origin: str = "live"  # "live" (driver-side engine) | "worker" (relay)
 
     @property
-    def dedup_key(self) -> tuple[str, str, str | None]:
+    def dedup_key(self) -> tuple[str, str, str | None, str | None]:
         """What "the same problem" means for cooldown purposes: the
-        kind, the subsystem, and the trainer (``None`` = population)."""
-        return (self.kind, self.source, self.trainer)
+        kind, the subsystem, the trainer (``None`` = population) and the
+        neighborhood — a local collapse must not suppress the
+        population-wide one."""
+        return (self.kind, self.source, self.trainer, self.neighborhood)
 
     def render(self) -> str:
-        where = f" trainer={self.trainer}" if self.trainer else ""
-        when = f" round={self.round_index}" if self.round_index is not None else ""
-        return (
-            f"[{self.severity}] {self.source}/{self.kind}{where}{when}: "
-            f"{self.message}"
-        )
+        return f"[{self.severity}] {self.kind}: {self.message}"
 
     def to_payload(self) -> dict:
         """The ``alert`` telemetry-event payload shape."""
@@ -53,16 +54,16 @@ class Alert:
             "source": self.source,
             "round": self.round_index,
             "trainer": self.trainer,
+            "neighborhood": self.neighborhood,
             "message": self.message,
             "value": self.value,
             "threshold": self.threshold,
-            "origin": self.origin,
         }
 
     @classmethod
     def from_payload(cls, payload) -> "Alert":
-        """Rebuild an alert from an ``alert`` event payload (the relay
-        and replay paths)."""
+        """Rebuild an alert from an ``alert`` event payload (serve-side
+        emissions and trace replay)."""
         return cls(
             kind=str(payload.get("kind", "unknown")),
             severity=str(payload.get("severity", "warning")),
@@ -70,9 +71,9 @@ class Alert:
             source=str(payload.get("source", "train")),
             round_index=payload.get("round"),
             trainer=payload.get("trainer"),
+            neighborhood=payload.get("neighborhood"),
             value=payload.get("value"),
             threshold=payload.get("threshold"),
-            origin=str(payload.get("origin", "live")),
         )
 
 

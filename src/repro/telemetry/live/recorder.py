@@ -5,7 +5,7 @@ archives healthy rounds nobody will read.  The flight recorder keeps only
 the *recent past* — the last N events of every subsystem, jsonified, in
 memory — and writes a post-mortem bundle when something actually goes
 wrong: a crash escaping the driver's round loop (``on_run_error``), a
-critical health warning or alert, or a SIGTERM from the scheduler.  The
+critical alert, or a SIGTERM from the scheduler.  The
 bundle is one JSON file, published atomically (tmp + rename, like
 checkpoints), so a half-written dump can never masquerade as evidence.
 """
@@ -39,7 +39,6 @@ SUBSYSTEM_OF = {
     "ingest": "ingest",
     "serve": "serve",
     "checkpoint": "checkpoint",
-    "health": "health",
     "alert": "health",
     "resource_sample": "resource",
     "span": "span",
@@ -111,12 +110,12 @@ class FlightRecorder(Callback):
                 ring = self.rings[subsystem] = deque(maxlen=self.capacity)
             ring.append(record)
             self.events_seen += 1
-        if event.type in ("health", "alert"):
-            if (
-                "critical" in self.dump_on
-                and event.payload.get("severity") == "critical"
-            ):
-                self._auto_dump(f"critical-{event.payload.get('kind', '?')}")
+        if (
+            event.type == "alert"
+            and "critical" in self.dump_on
+            and event.payload.get("severity") == "critical"
+        ):
+            self._auto_dump(f"critical-{event.payload.get('kind', '?')}")
 
     # -- lifecycle + triggers ------------------------------------------------
 

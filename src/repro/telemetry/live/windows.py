@@ -1,15 +1,11 @@
-"""Ring-buffer time-series windows and streaming anomaly detectors.
+"""Ring-buffer time-series windows.
 
 The live plane cannot afford the offline path's "keep every event, fold
 at the end" shape: a streamed campaign never ends.  A
 :class:`RollingWindow` keeps the last N ``(time, value)`` readings of one
 series in a ring buffer — O(N) memory forever — and answers the questions
 the status surface asks (count, mean, min/max, p50/p95/p99, per-second
-rate).  An :class:`EwmaDetector` tracks an exponentially-weighted mean
-and variance of the same stream and flags readings whose z-score against
-that baseline exceeds a threshold — the "this round is suddenly unlike
-the recent past" signal that absolute thresholds cannot express for
-workloads whose normal varies run to run.
+rate).
 """
 
 from __future__ import annotations
@@ -17,7 +13,7 @@ from __future__ import annotations
 import math
 from collections import deque
 
-__all__ = ["RollingWindow", "EwmaDetector"]
+__all__ = ["RollingWindow"]
 
 
 class RollingWindow:
@@ -105,68 +101,3 @@ class RollingWindow:
             "p95": self.percentile(95),
             "p99": self.percentile(99),
         }
-
-
-class EwmaDetector:
-    """Streaming z-score anomaly detection over an EWMA baseline.
-
-    :meth:`update` folds one reading into exponentially-weighted estimates
-    of the series mean and variance and returns the reading's z-score
-    against the *pre-update* baseline (so a spike cannot hide inside the
-    baseline it just inflated).  The caller compares the score to
-    :attr:`z_threshold` via :meth:`is_anomaly`; the first ``warmup``
-    readings never flag, because the baseline is still forming.
-
-    ``min_std`` floors the standard deviation: early near-constant series
-    would otherwise produce unbounded z-scores on the first honest
-    fluctuation.
-    """
-
-    def __init__(
-        self,
-        alpha: float = 0.25,
-        z_threshold: float = 4.0,
-        warmup: int = 8,
-        min_std: float = 1e-9,
-    ) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        if z_threshold <= 0:
-            raise ValueError("z_threshold must be positive")
-        self.alpha = float(alpha)
-        self.z_threshold = float(z_threshold)
-        self.warmup = int(warmup)
-        self.min_std = float(min_std)
-        self.n = 0
-        self.mean = 0.0
-        self._var = 0.0
-
-    @property
-    def std(self) -> float:
-        return max(math.sqrt(self._var), self.min_std)
-
-    def update(self, value: float) -> float:
-        """Fold one reading; returns its z-score vs. the prior baseline
-        (0.0 during warmup and for non-finite readings)."""
-        value = float(value)
-        if not math.isfinite(value):
-            # Non-finite readings are their own (critical) signal — they
-            # must not poison the baseline for later finite ones.
-            return 0.0
-        if self.n == 0:
-            self.n = 1
-            self.mean = value
-            return 0.0
-        z = (value - self.mean) / self.std
-        delta = value - self.mean
-        self.mean += self.alpha * delta
-        self._var = (1.0 - self.alpha) * (
-            self._var + self.alpha * delta * delta
-        )
-        self.n += 1
-        return z if self.n > self.warmup else 0.0
-
-    def is_anomaly(self, z: float) -> bool:
-        """Whether a z-score from :meth:`update` crosses the threshold
-        (one-sided: only regressions — higher-than-baseline — flag)."""
-        return z > self.z_threshold

@@ -416,7 +416,7 @@ class MetricsCollector(Callback):
             "store fetches served from a remote shard",
         )
         self.health_warnings = r.counter(
-            "repro_health_warnings_total", "health-monitor warnings raised"
+            "repro_health_warnings_total", "run-health alerts fired"
         )
         self.prefetch_fill = r.gauge(
             "repro_prefetch_queue_fill",
@@ -506,7 +506,7 @@ class MetricsCollector(Callback):
         self.local_fetches.inc(int(p.get("local_fetches", 0)))
         self.remote_fetches.inc(int(p.get("remote_fetches", 0)))
 
-    def on_health(self, event) -> None:
+    def on_alert(self, event) -> None:
         self.health_warnings.inc()
 
     def on_ingest(self, event) -> None:

@@ -20,9 +20,9 @@ from typing import Iterable
 
 from repro.telemetry.callbacks import CounterAggregator, JsonlTraceWriter, WallClockTimer
 from repro.telemetry.events import (
+    ALERT,
     EVAL,
     EVENT_TYPES,
-    HEALTH,
     INGEST,
     PAIRING,
     SPAN,
@@ -40,7 +40,6 @@ __all__ = [
     "summarize_eval",
     "trace_summary",
     "render_trace_report",
-    "trace_report",
 ]
 
 #: Trace schema versions this reader understands.
@@ -293,7 +292,7 @@ def trace_summary(path) -> dict:
     :func:`summarize_eval` aggregates,
     ``None`` when the trace carries no such events), ``resources`` (per-source
     peak-RSS/CPU rows from ``resource_sample`` events), ``health`` (the
-    raw warning payloads) and ``spans`` (count + track census, ``None``
+    ``alert`` event payloads) and ``spans`` (count + track census, ``None``
     for untraced runs).  The bench harness and CI consume this instead of
     scraping the text rendering.
     """
@@ -328,15 +327,28 @@ def trace_summary(path) -> dict:
         "ingest": summarize_ingest(events),
         "eval": summarize_eval(events),
         "resources": summarize_resources(events),
-        "health": [dict(e.payload) for e in events if e.type == HEALTH],
+        "health": [dict(e.payload) for e in events if e.type == ALERT],
         "spans": spans,
     }
 
 
+def _per_worker(counters: dict, prefix: str) -> dict[str, float]:
+    """The ``<prefix>[<backend>/worker<N>]`` keys of a flattened counter
+    summary, as ``{worker key: seconds}``."""
+    head = prefix + "["
+    return {
+        key[len(head):-1]: value
+        for key, value in counters.items()
+        if key.startswith(head)
+    }
+
+
 def render_trace_report(path) -> str:
-    """Load a trace and render the plain-text summary."""
-    header, events = _parse_trace(path)
-    timer, counters, census = summarize_trace(events)
+    """Load a trace and render the plain-text summary: a rendering of
+    :func:`trace_summary`, section for section, so the two formats
+    cannot drift."""
+    doc = trace_summary(path)
+    header, census, phases = doc["header"], doc["events"], doc["phases"]
     out = [f"== telemetry trace report: {path} =="]
     if header is not None:
         run = header.get("run") or {}
@@ -351,14 +363,14 @@ def render_trace_report(path) -> str:
         if run.get("population"):
             bits.append(f"{len(run['population'])} trainers")
         out.append("header: " + ", ".join(bits))
-    out.append(f"events: {len(events)}")
+    out.append(f"events: {sum(census.values())}")
     for event_type in sorted(census):
         out.append(f"  {event_type}: {census[event_type]}")
     out.append("per-phase wall clock:")
-    for phase in timer.PHASES:
-        out.append(f"  {phase}: {timer.totals[phase]:.3f}s")
-    out.append(f"  total: {timer.total_s:.3f}s over {timer.rounds} rounds")
-    summary = counters.summary()
+    for phase in WallClockTimer.PHASES:
+        out.append(f"  {phase}: {phases[phase]:.3f}s")
+    out.append(f"  total: {phases['total']:.3f}s over {phases['rounds']} rounds")
+    summary = doc["counters"]
     out.append("counters:")
     out.append(f"  steps: {summary['steps']}")
     out.append(
@@ -381,11 +393,12 @@ def render_trace_report(path) -> str:
             f"{summary['checkpoint_restores']} restored "
             f"({summary['checkpoint_bytes']} bytes)"
         )
-    if counters.worker_train_s:
+    worker_train_s = _per_worker(summary, "train_s")
+    if worker_train_s:
         out.append("per-worker train wall clock:")
-        busiest = max(counters.worker_train_s.values())
-        for key in sorted(counters.worker_train_s):
-            seconds = counters.worker_train_s[key]
+        busiest = max(worker_train_s.values())
+        for key in sorted(worker_train_s):
+            seconds = worker_train_s[key]
             share = seconds / busiest if busiest else 0.0
             out.append(f"  {key}: {seconds:.3f}s ({share:.0%} of busiest)")
     if summary["fetch_stalls"]:
@@ -406,18 +419,18 @@ def render_trace_report(path) -> str:
                 f"  prefetch fills: {summary['prefetch_fills']} "
                 f"(mean queue fill {summary['prefetch_mean_fill']:.2f})"
             )
-        workers = sorted(
-            set(counters.worker_stall_s) | set(counters.worker_overlap_s)
-        )
+        worker_stall_s = _per_worker(summary, "stall_s")
+        worker_overlap_s = _per_worker(summary, "overlap_s")
+        workers = sorted(set(worker_stall_s) | set(worker_overlap_s))
         if workers:
             out.append("  per-worker stall vs. overlap:")
             for key in workers:
                 out.append(
                     f"    {key}: stall "
-                    f"{counters.worker_stall_s.get(key, 0.0):.3f}s / overlap "
-                    f"{counters.worker_overlap_s.get(key, 0.0):.3f}s"
+                    f"{worker_stall_s.get(key, 0.0):.3f}s / overlap "
+                    f"{worker_overlap_s.get(key, 0.0):.3f}s"
                 )
-    pairings = summarize_pairings(events)
+    pairings = doc["pairings"]
     if pairings:
         topo_bits = ", ".join(
             f"{name} x{n}" for name, n in sorted(pairings["topologies"].items())
@@ -435,7 +448,7 @@ def render_trace_report(path) -> str:
                 f"{sum(degrees) / len(degrees):.1f} / max {max(degrees)} "
                 f"distinct partners per trainer"
             )
-    ingest = summarize_ingest(events)
+    ingest = doc["ingest"]
     if ingest:
         out.append("ingest:")
         out.append(
@@ -458,7 +471,7 @@ def render_trace_report(path) -> str:
                 f"high watermark"
             )
         out.append(lag_line)
-    quality = summarize_eval(events)
+    quality = doc["eval"]
     if quality:
         out.append("eval quality:")
         out.append(
@@ -474,8 +487,8 @@ def render_trace_report(path) -> str:
                 f"over {row['points']} point"
                 f"{'s' if row['points'] != 1 else ''}"
             )
-    out.extend(_render_percentiles(events))
-    resources = summarize_resources(events)
+    out.extend(_render_percentiles(doc["percentiles"]))
+    resources = doc["resources"]
     if resources:
         out.append("resources:")
         for source in sorted(resources):
@@ -486,29 +499,24 @@ def render_trace_report(path) -> str:
                 f"cpu {format_time(cpu_s)} "
                 f"({row['samples']} sample{'s' if row['samples'] != 1 else ''})"
             )
-    health = [e for e in events if e.type == "health"]
-    if health:
+    if doc["health"]:
         out.append("health warnings:")
-        for e in health:
-            p = e.payload
+        for p in doc["health"]:
             out.append(
                 f"  [{p.get('severity', 'warning')}] {p.get('kind', '?')} "
                 f"(round {p.get('round')}): {p.get('message', '')}"
             )
-    if census.get(SPAN):
-        tracks = {e.payload.get("track") for e in events if e.type == SPAN}
+    spans = doc["spans"]
+    if spans:
         out.append(
-            f"spans: {census[SPAN]} over {len(tracks)} track(s) "
+            f"spans: {spans['count']} over {len(spans['tracks'])} track(s) "
             f"(convert with: python -m repro.experiments trace-export {path})"
         )
     return "\n".join(out)
 
 
-def _render_percentiles(events) -> list[str]:
-    """Latency-percentile table lines from the metrics registry."""
-    from repro.telemetry.metrics import collect_metrics
-
-    registry = collect_metrics(events)
+def _render_percentiles(percentiles: dict) -> list[str]:
+    """Latency-percentile table lines from the ``percentiles`` section."""
     rows = [
         ("step time", "repro_step_time_seconds", "s"),
         ("fetch latency", "repro_fetch_latency_seconds", "s"),
@@ -517,19 +525,14 @@ def _render_percentiles(events) -> list[str]:
     ]
     lines: list[str] = []
     for label, name, unit in rows:
-        hist = registry[name]
-        if hist.count == 0:
+        hist = percentiles.get(name)
+        if hist is None:
             continue
-        pct = hist.percentiles()
         lines.append(
-            f"  {label}: n={hist.count} mean={hist.mean:.4g}{unit} "
-            f"p50={pct['p50']:.4g}{unit} p95={pct['p95']:.4g}{unit} "
-            f"p99={pct['p99']:.4g}{unit}"
+            f"  {label}: n={hist['count']} mean={hist['mean']:.4g}{unit} "
+            f"p50={hist['p50']:.4g}{unit} p95={hist['p95']:.4g}{unit} "
+            f"p99={hist['p99']:.4g}{unit}"
         )
     if lines:
         lines.insert(0, "latency/size percentiles:")
     return lines
-
-
-# Back-compat-friendly short alias used by the CLI.
-trace_report = render_trace_report

@@ -2,13 +2,14 @@
 streaming divergence estimators, the reservoir, the tournament judge
 seam (including loss-judge bit-identity with the pre-seam tournament
 path), the QualityProbe callback, the checkpoint eval-summary plumbing,
-and the quality_collapse detectors in HealthMonitor / LiveAggregator.
+and the quality_collapse rule of LiveAggregator.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -33,7 +34,6 @@ from repro.eval import (
     summary_value,
 )
 from repro.telemetry.events import EVAL, TelemetryEvent, TelemetryHub
-from repro.telemetry.health import HealthMonitor
 from repro.telemetry.live import LiveAggregator
 from repro.utils.rng import RngFactory
 
@@ -390,39 +390,53 @@ def _step_event(trainer, loss, time_s=0.0):
 
 
 class TestHealthMonitorQualityCollapse:
+    """The floor-factor rule (once ``HealthMonitor``'s, now the one
+    ``quality_collapse`` implementation), driven event by event."""
+
     def test_flags_blowup_critical_when_loss_improves(self):
-        monitor = HealthMonitor(quality_factor=3.0, quality_min_points=2)
+        monitor = LiveAggregator(quality_factor=3.0, quality_min_points=2)
         monitor.handle(_step_event("t0", 1.0))
         monitor.handle(_eval_event(0, {"t0": {"js": 0.1}}))
         monitor.handle(_step_event("t0", 0.5))  # loss improving...
         monitor.handle(_eval_event(1, {"t0": {"js": 0.12}}))
         monitor.handle(_eval_event(2, {"t0": {"js": 0.9}}))  # ...quality gone
-        kinds = [(w.kind, w.severity) for w in monitor.warnings]
-        assert ("quality_collapse", "critical") in kinds
+        (alert,) = monitor.alerts
+        assert (alert.kind, alert.severity) == ("quality_collapse", "critical")
+        assert (alert.trainer, alert.source, alert.round_index) == (
+            "t0", "eval", 2
+        )
+        assert alert.value == pytest.approx(0.9)
+        assert alert.threshold == pytest.approx(0.3)
+        assert "9.0x its best 0.1" in alert.message
+        assert alert.message.endswith("while its training loss still improves")
 
     def test_warning_severity_when_loss_also_degrades(self):
-        monitor = HealthMonitor(quality_factor=3.0, quality_min_points=2)
+        monitor = LiveAggregator(quality_factor=3.0, quality_min_points=2)
         monitor.handle(_step_event("t0", 1.0))
         monitor.handle(_eval_event(0, {"t0": {"js": 0.1}}))
         monitor.handle(_step_event("t0", 5.0))  # loss got worse too
         monitor.handle(_eval_event(1, {"t0": {"js": 0.12}}))
         monitor.handle(_eval_event(2, {"t0": {"js": 0.9}}))
         collapse = [
-            w for w in monitor.warnings if w.kind == "quality_collapse"
+            w for w in monitor.alerts if w.kind == "quality_collapse"
         ]
         assert len(collapse) == 1
         assert collapse[0].severity == "warning"
 
     def test_no_flag_for_stable_divergence(self):
-        monitor = HealthMonitor()
+        monitor = LiveAggregator()
         for r in range(6):
             monitor.handle(_eval_event(r, {"t0": {"js": 0.1 + 0.01 * r}}))
-        assert not [
-            w for w in monitor.warnings if w.kind == "quality_collapse"
-        ]
+        assert monitor.alerts == []
+        # The first readings only define the floor: a blowup inside the
+        # first ``quality_min_points`` readings is not judged yet.
+        early = LiveAggregator(quality_min_points=2)
+        early.handle(_eval_event(0, {"t0": {"js": 0.1}}))
+        early.handle(_eval_event(1, {"t0": {"js": 0.9}}))
+        assert early.alerts == []
 
     def test_driver_eval_payloads_ignored(self):
-        monitor = HealthMonitor()
+        monitor = LiveAggregator()
         monitor.handle(
             TelemetryEvent(
                 type=EVAL,
@@ -431,27 +445,26 @@ class TestHealthMonitorQualityCollapse:
                 payload={"round": 0, "metrics": {"t0": {"val_loss": 1.0}}},
             )
         )
-        assert monitor.warnings == []
+        assert monitor.alerts == []
 
 
 class TestLiveAggregatorQualityCollapse:
-    def _aggregator(self):
-        agg = LiveAggregator(
-            z_threshold=2.0, alpha=0.3, detector_warmup=3, cooldown_rounds=0
-        )
-        agg.attach(hub=None, history=None)
-        return agg
+    """The same rule through the aggregator's live sinks and snapshot."""
 
     def test_spike_fires_quality_collapse_alert(self):
-        agg = self._aggregator()
+        hub = TelemetryHub()
+        history = SimpleNamespace(health_warnings=[])
+        agg = LiveAggregator().attach(hub, history)
+        hub.subscribe(agg)
         for r in range(6):
-            agg.handle(_eval_event(r, {"t0": {"js": 0.1}}, time_s=float(r)))
-        agg.handle(_eval_event(6, {"t0": {"js": 2.5}}, time_s=6.0))
-        kinds = [a.kind for a in agg.alerts]
-        assert "quality_collapse" in kinds
+            hub.emit(EVAL, round=r, divergence={"t0": {"js": 0.1}}, metric="js")
+        assert history.health_warnings == []
+        hub.emit(EVAL, round=6, divergence={"t0": {"js": 2.5}}, metric="js")
+        assert [a.kind for a in agg.alerts] == ["quality_collapse"]
+        assert history.health_warnings == agg.alerts
 
     def test_critical_when_loss_improving(self):
-        agg = self._aggregator()
+        agg = LiveAggregator()
         agg.handle(_step_event("t0", 1.0, time_s=0.0))
         agg.handle(_eval_event(0, {"t0": {"js": 0.1}}, time_s=0.0))
         agg.handle(_step_event("t0", 0.4, time_s=1.0))
@@ -462,7 +475,7 @@ class TestLiveAggregatorQualityCollapse:
         assert collapse and collapse[0].severity == "critical"
 
     def test_snapshot_carries_quality_section(self):
-        agg = self._aggregator()
+        agg = LiveAggregator()
         agg.handle(_eval_event(0, {"t0": {"js": 0.2, "kl": 0.4}}))
         snap = agg.snapshot()
         assert snap["quality"]["metric"] == "js"
@@ -471,7 +484,7 @@ class TestLiveAggregatorQualityCollapse:
         assert "eval_divergence" in snap["windows"]
 
     def test_driver_eval_payloads_ignored(self):
-        agg = self._aggregator()
+        agg = LiveAggregator()
         agg.handle(
             TelemetryEvent(
                 type=EVAL,
@@ -525,6 +538,16 @@ class TestEvalReporting:
         assert "t0: last 0.25" in text
         summary = trace_summary(path)
         assert summary["eval"]["trainers"]["t0"]["points"] == 1
+        # The text section is a rendering of the dict, number for number.
+        quality = summary["eval"]
+        row = quality["trainers"]["t0"]
+        assert text.splitlines()[-3:] == [
+            "eval quality:",
+            f"  {quality['probes']} probe pass (metric {quality['metric']}), "
+            f"last round {quality['last_round']}",
+            f"  t0: last {row['last']:.4g} / best {row['best']:.4g} "
+            f"over {row['points']} point",
+        ]
 
     def test_watch_renders_quality_line(self):
         from repro.telemetry.__main__ import render_watch

@@ -1,7 +1,11 @@
-"""Tests for run-health monitoring (:mod:`repro.telemetry.health`):
-the four detectors driven with synthetic events, warning dedupe and
-re-emission, ProgressLogger's in-line health lines, History integration
-through a real (NaN-forced) run, and the experiments report plumbing.
+"""Tests for the run-health rules of :class:`~repro.telemetry.
+LiveAggregator` that are driven by training events: NaN loss, win-rate
+collapse and stall regression with synthetic events, alert dedupe and
+emission, ProgressLogger's in-line health lines, History integration
+through a real (NaN-forced) run on every backend, and the experiments
+report plumbing.  (Quality collapse lives in ``test_eval.py``, the
+per-neighborhood win-rate check in ``test_topology.py``, the ingest and
+serve rules in ``test_live.py``.)
 """
 
 from __future__ import annotations
@@ -15,21 +19,21 @@ import numpy as np
 import pytest
 
 from repro.core import LtfbConfig, LtfbDriver, build_population
+from repro.exec import resolve_backend
 from repro.telemetry import (
-    HealthMonitor,
-    HealthWarning,
+    Alert,
+    LiveAggregator,
     ProgressLogger,
     TelemetryHub,
 )
-from repro.telemetry.events import HEALTH
+from repro.telemetry.events import ALERT
 from repro.utils.rng import RngFactory
 
 
-def _monitor(hub: TelemetryHub, **kwargs) -> HealthMonitor:
-    """A HealthMonitor subscribed to ``hub`` with its re-emit path live."""
-    monitor = HealthMonitor(**kwargs)
+def _monitor(hub: TelemetryHub, **kwargs) -> LiveAggregator:
+    """A LiveAggregator subscribed to ``hub`` with its emit path live."""
+    monitor = LiveAggregator(**kwargs).attach(hub)
     hub.subscribe(monitor)
-    monitor.on_run_begin(SimpleNamespace(telemetry=hub))
     return monitor
 
 
@@ -58,8 +62,8 @@ class TestDetectors:
                 "step_end", trainer="t0", steps=1, elapsed_s=0.1,
                 losses={"gan": math.nan},
             )
-        assert len(monitor.warnings) == 1
-        w = monitor.warnings[0]
+        assert len(monitor.alerts) == 1
+        w = monitor.alerts[0]
         assert w.kind == "nan_loss"
         assert w.severity == "critical"
         assert w.trainer == "t0"
@@ -68,21 +72,7 @@ class TestDetectors:
             "step_end", trainer="t1", steps=1, elapsed_s=0.1,
             losses={"gan": math.inf},
         )
-        assert {w.trainer for w in monitor.warnings} == {"t0", "t1"}
-
-    def test_divergence_against_running_floor(self):
-        hub = TelemetryHub()
-        monitor = _monitor(hub)
-        step = lambda v: hub.emit(  # noqa: E731
-            "step_end", trainer="t0", steps=1, elapsed_s=0.1,
-            losses={"gan": v},
-        )
-        step(1.0)
-        step(5.0)  # oscillation within 20x: fine
-        assert monitor.warnings == []
-        step(25.0)  # > 20 * floor(1.0)
-        assert [w.kind for w in monitor.warnings] == ["divergence"]
-        assert "25" in monitor.warnings[0].message
+        assert {w.trainer for w in monitor.alerts} == {"t0", "t1"}
 
     def test_winrate_collapse_over_window(self):
         hub = TelemetryHub()
@@ -94,8 +84,8 @@ class TestDetectors:
                     own_score=0.0, partner_score=1.0, adopted=True,
                 )
             hub.emit("round_end", round=r, train_s=1.0)
-        assert [w.kind for w in monitor.warnings] == ["winrate_collapse"]
-        assert monitor.warnings[0].trainer == "t7"
+        assert [w.kind for w in monitor.alerts] == ["winrate_collapse"]
+        assert monitor.alerts[0].trainer == "t7"
 
     def test_no_collapse_below_min_adoptions(self):
         hub = TelemetryHub()
@@ -106,7 +96,7 @@ class TestDetectors:
                 own_score=0.0, partner_score=1.0, adopted=True,
             )
             hub.emit("round_end", round=r, train_s=1.0)
-        assert monitor.warnings == []
+        assert monitor.alerts == []
 
     def test_stall_regression_after_warmup(self):
         hub = TelemetryHub()
@@ -114,16 +104,16 @@ class TestDetectors:
         # Round 0 is warmup: the first-epoch ingest stall is expected.
         hub.emit("fetch_stall", stall_s=0.9, materialize_s=0.9)
         hub.emit("round_end", round=0, train_s=1.0)
-        assert monitor.warnings == []
+        assert monitor.alerts == []
         hub.emit("fetch_stall", stall_s=0.9, materialize_s=0.9)
         hub.emit("round_end", round=1, train_s=1.0)
-        assert [w.kind for w in monitor.warnings] == ["stall_regression"]
+        assert [w.kind for w in monitor.alerts] == ["stall_regression"]
         # Stall accounting resets per round: a quiet round 2 stays quiet
-        # (and the kind is deduped anyway).
+        # (and the kind is in cooldown anyway).
         hub.emit("round_end", round=2, train_s=1.0)
-        assert len(monitor.warnings) == 1
+        assert len(monitor.alerts) == 1
 
-    def test_warnings_reemitted_as_health_events(self):
+    def test_alerts_emitted_as_alert_events(self):
         hub = TelemetryHub()
         recorder = _Recorder()
         hub.subscribe(recorder)
@@ -132,12 +122,14 @@ class TestDetectors:
             "step_end", trainer="t0", steps=1, elapsed_s=0.1,
             losses={"gan": math.nan},
         )
-        health = [e for e in recorder.events if e.type == HEALTH]
-        assert len(health) == 1
-        assert health[0].payload["kind"] == "nan_loss"
-        assert health[0].payload["severity"] == "critical"
-        assert monitor.warnings[0].render() == (
-            "[critical] nan_loss: " + health[0].payload["message"]
+        alerts = [e for e in recorder.events if e.type == ALERT]
+        assert len(alerts) == 1
+        assert alerts[0].payload["kind"] == "nan_loss"
+        assert alerts[0].payload["severity"] == "critical"
+        assert alerts[0].payload["source"] == "train"
+        assert Alert.from_payload(alerts[0].payload) == monitor.alerts[0]
+        assert monitor.alerts[0].render() == (
+            "[critical] nan_loss: " + alerts[0].payload["message"]
         )
 
 
@@ -164,7 +156,7 @@ class TestProgressLoggerHealth:
         stream = io.StringIO()
         # stall_fraction_threshold=-1 flags every post-warmup round, so a
         # healthy tiny run still produces a deterministic warning.
-        monitor = HealthMonitor(stall_fraction_threshold=-1.0)
+        monitor = LiveAggregator(stall_fraction_threshold=-1.0)
         self._run(
             tiny_dataset, tiny_spec, tiny_autoencoder,
             [monitor, ProgressLogger(stream=stream)],
@@ -184,26 +176,55 @@ class TestProgressLoggerHealth:
         self, tiny_dataset, tiny_spec, tiny_autoencoder
     ):
         stream = io.StringIO()
-        # Logger subscribed *before* the monitor: the final round's warning
+        # Logger subscribed *before* the aggregator: the final round's warning
         # arrives after the logger already printed that round's line, so it
         # can only appear via the on_run_end flush.
         self._run(
             tiny_dataset, tiny_spec, tiny_autoencoder,
             [
                 ProgressLogger(stream=stream),
-                HealthMonitor(stall_fraction_threshold=-1.0),
+                LiveAggregator(stall_fraction_threshold=-1.0),
             ],
         )
         lines = stream.getvalue().splitlines()
         assert lines[-1].startswith("  health[warning] stall_regression:")
 
 
+class _Saboteur:
+    """Poisons one generator after round 0's training (marking it dirty so
+    backends with remote replicas push the poisoned state to the worker)
+    and floods round 1 with synthetic fetch stalls."""
+
+    def __init__(self, trainers):
+        self.trainers = trainers
+        self._driver = None
+
+    def handle(self, event):
+        if event.type == "round_end" and event.payload["round"] == 0:
+            victim = self.trainers[0]
+            state = victim.surrogate.get_generator_state()
+            victim.surrogate.set_generator_state(
+                {k: v * math.nan for k, v in state.items()}
+            )
+            self._driver.backend.mark_dirty(victim.name)
+            self._driver.telemetry.emit(
+                "fetch_stall", trainer=victim.name, stall_s=60.0,
+                materialize_s=60.0,
+            )
+
+    def on_run_begin(self, driver):
+        self._driver = driver
+
+    def on_run_end(self, driver, history):
+        pass
+
+
 class TestHistoryIntegration:
-    def test_nan_loss_lands_in_history(
-        self, tiny_dataset, tiny_spec, tiny_autoencoder
+    def _sabotaged_run(
+        self, tiny_dataset, tiny_spec, tiny_autoencoder, backend_name
     ):
-        """Acceptance: force a NaN loss mid-run; the HealthMonitor must
-        raise a critical warning into ``History.health_warnings``."""
+        from repro.experiments.common import observability_callbacks
+
         spec = dataclasses.replace(tiny_spec, k=2)
         trainers = build_population(
             tiny_dataset,
@@ -212,36 +233,55 @@ class TestHistoryIntegration:
             spec,
             tiny_autoencoder,
         )
-
-        class Saboteur:
-            """Poisons one generator after round 0's training."""
-
-            def handle(self, event):
-                if event.type == "round_end" and event.payload["round"] == 0:
-                    victim = trainers[0]
-                    state = victim.surrogate.get_generator_state()
-                    victim.surrogate.set_generator_state(
-                        {k: v * math.nan for k, v in state.items()}
-                    )
-
-            def on_run_begin(self, driver):
-                pass
-
-            def on_run_end(self, driver, history):
-                pass
-
         driver = LtfbDriver(
             trainers,
             np.random.default_rng(3),
             LtfbConfig(steps_per_round=2, rounds=2),
+            backend=resolve_backend(backend_name, max_workers=2),
         )
-        history = driver.run(callbacks=[Saboteur(), HealthMonitor()])
+        # The saboteur runs after the health callback so its stall lands
+        # in round 1's accounting, not in the round 0 that just closed.
+        history = driver.run(
+            callbacks=[
+                *observability_callbacks("t", monitor_health=True),
+                _Saboteur(trainers),
+            ]
+        )
+        return trainers, history
+
+    def test_nan_loss_lands_in_history(
+        self, tiny_dataset, tiny_spec, tiny_autoencoder
+    ):
+        """Acceptance: force a NaN loss mid-run; the health callback must
+        raise a critical warning into ``History.health_warnings``."""
+        trainers, history = self._sabotaged_run(
+            tiny_dataset, tiny_spec, tiny_autoencoder, "serial"
+        )
         assert not history.healthy
-        kinds = {w.kind for w in history.health_warnings}
-        assert "nan_loss" in kinds
         critical = [w for w in history.health_warnings if w.kind == "nan_loss"]
+        assert critical
         assert all(w.severity == "critical" for w in critical)
         assert any(w.trainer == trainers[0].name for w in critical)
+
+    @pytest.mark.parametrize("backend_name", ["serial", "thread", "process"])
+    def test_nan_and_stall_yield_one_alert_each(
+        self, tiny_dataset, tiny_spec, tiny_autoencoder, backend_name
+    ):
+        """Acceptance: a NaN trainer plus one stalled round put exactly
+        one ``nan_loss`` (for the poisoned trainer) and one
+        ``stall_regression`` (for the stalled round) into
+        ``History.health_warnings`` — identically on every backend, with
+        the callback set the experiments CLI attaches."""
+        trainers, history = self._sabotaged_run(
+            tiny_dataset, tiny_spec, tiny_autoencoder, backend_name
+        )
+        assert [
+            (w.kind, w.severity, w.trainer, w.round_index)
+            for w in history.health_warnings
+        ] == [
+            ("nan_loss", "critical", trainers[0].name, 0),
+            ("stall_regression", "warning", None, 1),
+        ]
 
     def test_clean_run_is_healthy(
         self, tiny_dataset, tiny_spec, tiny_autoencoder
@@ -259,7 +299,7 @@ class TestHistoryIntegration:
             np.random.default_rng(3),
             LtfbConfig(steps_per_round=2, rounds=2),
         )
-        history = driver.run(callbacks=[HealthMonitor()])
+        history = driver.run(callbacks=[LiveAggregator()])
         assert history.healthy
         assert history.health_warnings == []
 
@@ -292,7 +332,7 @@ class TestExperimentsPlumbing:
         )
         history = SimpleNamespace(
             health_warnings=[
-                HealthWarning(
+                Alert(
                     kind="nan_loss", round_index=1, trainer="t0",
                     message="boom", severity="critical",
                 )
@@ -321,7 +361,7 @@ class TestExperimentsPlumbing:
         assert kinds == [
             "JsonlTraceWriter",
             "MetricsCollector",
-            "HealthMonitor",
+            "LiveAggregator",
             "ResourceSampler",
         ]
         assert callbacks[1] is metrics

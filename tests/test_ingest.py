@@ -5,6 +5,8 @@ determinism while the universe grows."""
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -303,6 +305,32 @@ class TestStreamingSource:
         v = universe.version
         admitted = source.poll()
         assert admitted > 0 and universe.version == v + 1
+
+    def test_paused_reports_a_pump_held_back(self, campaign_parts):
+        """The ``ingest`` event's ``paused`` is the backpressure signal:
+        true only when the watermark pause stopped the pump short of its
+        per-poll budget, not when it engaged on the budget's last sample."""
+        from repro.telemetry import TelemetryHub
+
+        def first_poll(**geometry):
+            _, channel, _, source = campaign_parts(**geometry)
+            polls = []
+            hub = TelemetryHub()
+            hub.subscribe(
+                SimpleNamespace(handle=lambda e: polls.append(e.payload))
+            )
+            source.telemetry = hub
+            source.poll()
+            return polls[0], channel
+
+        # Budget 24 == watermark (0.75 x 32): the full budget published.
+        payload, channel = first_poll()
+        assert channel.stats.published == 24
+        assert payload["paused"] is False
+        # Watermark 6 < budget 24: the pause cut the pump at 6 samples.
+        payload, channel = first_poll(capacity=8)
+        assert channel.stats.published == 6
+        assert payload["paused"] is True
 
     def test_prime_raises_when_campaign_too_small(self, campaign_parts):
         _, _, _, source = campaign_parts(n=8)

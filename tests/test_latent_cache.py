@@ -479,10 +479,26 @@ class TestTraceReport:
         assert 0.0 < counters["latent_hit_ratio"] <= 0.5
         assert counters["latent_hit_ratio"] == counters["latent_hits"] / rows
         text = render_trace_report(trace)
+        # The text is a rendering of the summary dict, number for number.
         assert (
-            f"latent table: {counters['latent_hits']} rows gathered / "
-            f"{counters['latent_misses']} encoded" in text
-        )
+            f"  latent table: {counters['latent_hits']} rows gathered / "
+            f"{counters['latent_misses']} encoded "
+            f"(hit ratio {counters['latent_hit_ratio']:.3f})"
+        ) in text.splitlines()
+        assert (
+            f"  fetch stalls: {counters['fetch_stalls']} "
+            f"(stalled {counters['fetch_stall_s']:.3f}s, overlapped "
+            f"{counters['fetch_overlap_s']:.3f}s of materialization)"
+        ) in text.splitlines()
+        workers = {
+            key[len("train_s["):-1]: seconds
+            for key, seconds in counters.items()
+            if key.startswith("train_s[")
+        }
+        assert workers  # every backend attributes train time to a worker
+        for key, seconds in workers.items():
+            assert f"  {key}: {seconds:.3f}s (" in text
+            assert f"    {key}: stall {counters[f'stall_s[{key}]']:.3f}s" in text
 
     def test_older_traces_without_the_fields_still_fold(self):
         from repro.telemetry import CounterAggregator, TelemetryHub

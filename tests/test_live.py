@@ -1,7 +1,7 @@
 """Tests for the live observability plane (:mod:`repro.telemetry.live`):
-rolling windows and EWMA detectors, alert dedup/cooldown, the live
-aggregator's detections landing in ``History.health_warnings`` *during*
-a real run, worker alert relay across execution backends, flight-recorder
+rolling windows, alert dedup/cooldown, the live aggregator's detections
+landing in ``History.health_warnings`` *during* a real run on every
+execution backend and reaching every ``alert`` consumer, flight-recorder
 bundles (crash hook, critical auto-dump, SIGTERM-free manual path), the
 serve status endpoint, atomic metrics publication, the trace-report
 pairing/ingest sections, and the watch CLI.
@@ -24,7 +24,6 @@ from repro.exec import resolve_backend
 from repro.telemetry import (
     Alert,
     AlertEngine,
-    EwmaDetector,
     FlightRecorder,
     JsonlTraceWriter,
     LiveAggregator,
@@ -90,34 +89,6 @@ class TestRollingWindow:
             RollingWindow(maxlen=0)
 
 
-class TestEwmaDetector:
-    def test_warmup_never_flags(self):
-        det = EwmaDetector(warmup=5)
-        for _ in range(5):
-            assert det.update(1.0) == 0.0
-
-    def test_spike_flags_after_warmup_one_sided(self):
-        det = EwmaDetector(alpha=0.25, z_threshold=4.0, warmup=4)
-        for _ in range(10):
-            z = det.update(1.0 + 0.001 * np.random.default_rng(0).random())
-            assert not det.is_anomaly(z)
-        spike = det.update(100.0)
-        assert det.is_anomaly(spike)
-        # One-sided: a sudden improvement never alerts.
-        fast = EwmaDetector(warmup=2)
-        for _ in range(8):
-            fast.update(1.0)
-        assert not fast.is_anomaly(fast.update(0.0001))
-
-    def test_nonfinite_does_not_poison_baseline(self):
-        det = EwmaDetector(warmup=2)
-        for _ in range(6):
-            det.update(1.0)
-        mean_before = det.mean
-        assert det.update(math.nan) == 0.0
-        assert det.mean == mean_before
-
-
 class TestAlertEngine:
     def _alert(self, **kw):
         base = dict(kind="k", severity="warning", message="m", source="data")
@@ -157,15 +128,15 @@ class TestAlertEngine:
 
     def test_payload_round_trip(self):
         alert = self._alert(round_index=4, trainer="t1", value=1.5,
-                            threshold=1.0, origin="worker")
+                            threshold=1.0, neighborhood="cell(0,0)")
         assert Alert.from_payload(alert.to_payload()) == alert
 
 
 class TestLiveAggregator:
-    def test_step_time_anomaly_fires_into_hub_and_history(self):
+    def test_nan_loss_is_critical(self):
         hub = TelemetryHub()
         history = _History()
-        agg = LiveAggregator(detector_warmup=4).attach(hub, history)
+        agg = LiveAggregator().attach(hub, history)
         seen = []
 
         class Sink:
@@ -175,29 +146,17 @@ class TestLiveAggregator:
 
         hub.subscribe(agg)
         hub.subscribe(Sink())
-        _steps(hub, 12)
-        hub.emit(
-            "step_end", trainer="t0", steps=1, steps_done=13,
-            losses={"loss": 1.0}, elapsed_s=10.0, backend="serial", worker=0,
-        )
-        kinds = {a.kind for a in agg.alerts}
-        assert "step_time_anomaly" in kinds
-        assert [w.kind for w in history.health_warnings] == ["step_time_anomaly"]
-        assert seen and seen[0]["kind"] == "step_time_anomaly"
-        assert seen[0]["origin"] == "live"
-
-    def test_nan_loss_is_critical(self):
-        hub = TelemetryHub()
-        history = _History()
-        hub.subscribe(LiveAggregator().attach(hub, history))
         hub.emit(
             "step_end", trainer="t0", steps=1, steps_done=1,
             losses={"gan": math.nan}, elapsed_s=0.01,
         )
+        # One detection, three sinks: the engine, history, the hub.
         assert len(history.health_warnings) == 1
         w = history.health_warnings[0]
         assert w.kind == "nan_loss" and w.severity == "critical"
         assert w.trainer == "t0"
+        assert agg.alerts == [w]
+        assert seen == [w.to_payload()]
 
     def test_ingest_backpressure_and_serve_slo_burn(self):
         hub = TelemetryHub()
@@ -236,7 +195,10 @@ class TestLiveAggregator:
         hub.emit("round_end", round=2, train_s=1.0)
         assert len(agg.alerts) == 1
 
-    def test_worker_origin_alerts_admitted_without_reemission(self):
+    def test_foreign_alerts_admitted_without_reemission(self):
+        """``alert`` events the aggregator did not fire itself (the
+        surrogate server's admission warnings, a replayed trace) go
+        through the same engine: once into history, never re-emitted."""
         hub = TelemetryHub()
         history = _History()
         agg = LiveAggregator().attach(hub, history)
@@ -250,13 +212,30 @@ class TestLiveAggregator:
         hub.subscribe(agg)
         hub.subscribe(Sink())
         payload = Alert(
-            kind="nan_loss", severity="critical", message="worker says nan",
-            trainer="t0", origin="worker",
+            kind="serve_overload", severity="critical",
+            message="request queue saturated", source="serve",
         ).to_payload()
         hub.emit("alert", **payload)
-        # Admitted once into history, no second (re-emitted) alert event.
-        assert [w.kind for w in history.health_warnings] == ["nan_loss"]
-        assert len(emitted) == 1
+        hub.emit("alert", **payload)  # same problem, inside the cooldown
+        assert [w.kind for w in history.health_warnings] == ["serve_overload"]
+        assert len(emitted) == 2
+
+    def test_timing_noise_is_a_reading_not_an_alert(self):
+        """Step time and fetch stall carry host jitter: a 1000x outlier in
+        either shows in the windows and fires nothing."""
+        hub = TelemetryHub()
+        agg = LiveAggregator().attach(hub)
+        hub.subscribe(agg)
+        _steps(hub, 12)
+        _steps(hub, 1, elapsed_s=10.0)
+        for stall_s in [0.001] * 12 + [1.0]:
+            hub.emit("fetch_stall", trainer="t0", stall_s=stall_s,
+                     materialize_s=stall_s)
+        assert agg.alerts == []
+        windows = agg.snapshot()["windows"]
+        assert windows["step_time_s"]["max"] == 10.0
+        assert windows["fetch_stall_s"]["max"] == 1.0
+        assert agg.snapshot()["trainers"]["t0"]["last_step_s"] == 10.0
 
     def test_snapshot_shape_is_json_encodable(self):
         hub = TelemetryHub()
@@ -324,59 +303,119 @@ class _Poisoner:
         pass
 
 
+class _WarningCounts:
+    """Snapshots ``len(history.health_warnings)`` at every round end."""
+
+    def __init__(self):
+        self.per_round = []
+        self._history = None
+
+    def handle(self, event):
+        if event.type == "round_end":
+            self.per_round.append(len(self._history.health_warnings))
+
+    def on_run_begin(self, driver):
+        self._history = driver.history
+
+    def on_run_end(self, driver, history):
+        pass
+
+
+def _assert_one_live_nan(history, victim, counts):
+    """Exactly one critical ``nan_loss``, for the poisoned trainer, already
+    in history when the final round ended (not appended at run end)."""
+    nan = [w for w in history.health_warnings if w.kind == "nan_loss"]
+    assert [(w.trainer, w.severity) for w in nan] == [(victim, "critical")]
+    assert counts.per_round[-1] >= 1
+
+
 class TestDriverIntegration:
     def test_alerts_land_in_history_during_run(
         self, tiny_dataset, tiny_spec, tiny_autoencoder
     ):
-        """Acceptance: a forced NaN raises a critical warning into
-        ``History.health_warnings`` *before* the run ends (observed at the
-        following round's start, when the final round has not run yet)."""
+        """Acceptance: a forced NaN raises one critical warning into
+        ``History.health_warnings`` *before* the run ends."""
         trainers, driver = _tiny_driver(
             tiny_dataset, tiny_spec, tiny_autoencoder,
             seed=21, backend=resolve_backend("serial"),
         )
-        counts = []
-
-        class Probe:
-            def handle(self, event):
-                if event.type == "round_end":
-                    counts.append(len(driver.history.health_warnings))
-
-            def on_run_begin(self, d):
-                pass
-
-            def on_run_end(self, d, h):
-                pass
-
+        counts = _WarningCounts()
         history = driver.run(
-            callbacks=[_Poisoner(trainers), Probe(), LiveAggregator()]
+            callbacks=[_Poisoner(trainers), LiveAggregator(), counts]
         )
-        kinds = {w.kind for w in history.health_warnings}
-        assert "nan_loss" in kinds
-        critical = [w for w in history.health_warnings if w.kind == "nan_loss"]
-        assert all(w.severity == "critical" for w in critical)
-        assert any(w.trainer == trainers[0].name for w in critical)
-        # Live: the warning was already present when round 1 ended, not
-        # appended at on_run_end.
-        assert counts[-1] >= 1
+        _assert_one_live_nan(history, trainers[0].name, counts)
 
     @pytest.mark.parametrize("backend_name", ["thread", "process"])
     def test_worker_relay_raises_live_alert(
         self, tiny_dataset, tiny_spec, tiny_autoencoder, backend_name
     ):
-        """Workers detect the non-finite loss themselves and relay an
-        ``alert`` event through their recorder; the driver-side aggregator
-        admits it into history."""
+        """The worker's ``step_end`` events (NaN losses included) replay
+        home through the backend's event relay; the driver-side
+        aggregator fires the one alert, same as on the serial backend."""
         trainers, driver = _tiny_driver(
             tiny_dataset, tiny_spec, tiny_autoencoder,
             seed=23, backend=resolve_backend(backend_name, max_workers=2),
         )
+        counts = _WarningCounts()
         history = driver.run(
-            callbacks=[_Poisoner(trainers), LiveAggregator()]
+            callbacks=[_Poisoner(trainers), LiveAggregator(), counts]
         )
-        nan = [w for w in history.health_warnings if w.kind == "nan_loss"]
-        assert nan, history.health_warnings
-        assert all(w.severity == "critical" for w in nan)
+        _assert_one_live_nan(history, trainers[0].name, counts)
+
+    def test_one_alert_reaches_every_consumer(
+        self, tiny_dataset, tiny_spec, tiny_autoencoder, tmp_path
+    ):
+        """One live ``nan_loss`` in a traced run shows up in every place
+        a warning is read: the progress log, the metrics counter, both
+        trace-report formats, the Perfetto export, the flight recorder
+        (ring + critical auto-dump) and the watch CLI."""
+        import io
+
+        from repro.telemetry import (
+            MetricsCollector,
+            ProgressLogger,
+            chrome_trace,
+            load_trace,
+            render_trace_report,
+            trace_summary,
+        )
+        from repro.telemetry.__main__ import render_watch, watch_snapshot
+
+        trainers, driver = _tiny_driver(
+            tiny_dataset, tiny_spec, tiny_autoencoder,
+            seed=21, backend=resolve_backend("serial"),
+        )
+        trace = tmp_path / "trace.jsonl"
+        stream = io.StringIO()
+        metrics = MetricsCollector()
+        recorder = FlightRecorder(out_dir=tmp_path / "flightrec")
+        history = driver.run(
+            callbacks=[
+                _Poisoner(trainers), LiveAggregator(), JsonlTraceWriter(trace),
+                ProgressLogger(stream=stream), metrics, recorder,
+            ]
+        )
+        (alert,) = history.health_warnings
+        assert alert.kind == "nan_loss"
+        line = f"  health[critical] nan_loss: {alert.message}"
+        assert line in stream.getvalue().splitlines()
+        assert metrics.registry["repro_health_warnings_total"].value == 1
+        assert trace_summary(trace)["health"] == [alert.to_payload()]
+        assert (
+            f"  [critical] nan_loss (round {alert.round_index}): "
+            f"{alert.message}"
+        ) in render_trace_report(trace).splitlines()
+        instants = [
+            e for e in chrome_trace(load_trace(trace))["traceEvents"]
+            if e.get("ph") == "i"
+        ]
+        assert [e["name"] for e in instants] == ["health:nan_loss"]
+        assert [r["kind"] for r in recorder.rings["health"]] == ["nan_loss"]
+        (dump,) = recorder.dumps_written
+        assert load_bundle(dump)["reason"] == "critical-nan_loss"
+        snap = watch_snapshot(trace)
+        assert [a["kind"] for a in snap["alerts"]["recent"]] == ["nan_loss"]
+        assert "train/nan_loss" in render_watch(snap)
 
 
 class TestFlightRecorder:
@@ -415,7 +454,7 @@ class TestFlightRecorder:
         for i in range(5):
             hub.emit("alert", kind="nan_loss", severity="critical",
                      source="train", round=i, trainer="t0", message="boom",
-                     value=None, threshold=None, origin="live")
+                     value=None, threshold=None)
         assert len(rec.dumps_written) == 2
         bundle = load_bundle(rec.dumps_written[0])
         assert bundle["reason"] == "critical-nan_loss"
@@ -426,8 +465,8 @@ class TestFlightRecorder:
         hub = TelemetryHub()
         rec = FlightRecorder(out_dir=tmp_path)
         hub.subscribe(rec)
-        hub.emit("health", kind="stall_regression", severity="warning",
-                 round=1, trainer=None, message="slow")
+        hub.emit("alert", kind="stall_regression", severity="warning",
+                 source="data", round=1, trainer=None, message="slow")
         assert not rec.dumps_written
 
     def test_crash_hook_dumps_bundle(
@@ -612,6 +651,38 @@ class TestReportSections:
         assert summary["ingest"]["paused_polls"] == 1
         assert summary["ingest"]["universe_size"] == 80
         json.dumps(summary)
+        # Every text section is a rendering of the dict's numbers.
+        lines = text.splitlines()
+        assert f"header: schema v{summary['header']['version']}, LtfbDriver, " \
+            "backend serial x1, 2 trainers" in lines
+        assert f"events: {sum(summary['events'].values())}" in lines
+        for event_type, n in summary["events"].items():
+            assert f"  {event_type}: {n}" in lines
+        phases = summary["phases"]
+        for phase in ("train", "tournament", "exchange", "eval"):
+            assert f"  {phase}: {phases[phase]:.3f}s" in lines
+        assert (
+            f"  total: {phases['total']:.3f}s over {phases['rounds']} rounds"
+        ) in lines
+        counters = summary["counters"]
+        assert f"  steps: {counters['steps']}" in lines
+        assert (
+            f"  exchanges: {counters['exchanges']} "
+            f"({counters['exchange_bytes']} bytes)"
+        ) in lines
+        ingest = summary["ingest"]
+        assert (
+            f"  producer lag max {ingest['max_producer_lag']}; channel "
+            f"occupancy mean {ingest['mean_channel_occupancy']:.0%} peak "
+            f"{ingest['peak_channel_occupancy']:.0%}; 1 poll hit the high "
+            f"watermark"
+        ) in lines
+        step = summary["percentiles"]["repro_step_time_seconds"]
+        assert (
+            f"  step time: n={step['count']} mean={step['mean']:.4g}s "
+            f"p50={step['p50']:.4g}s p95={step['p95']:.4g}s "
+            f"p99={step['p99']:.4g}s"
+        ) in lines
 
     def test_sections_absent_without_events(self, tmp_path):
         from repro.telemetry.report import (
@@ -692,12 +763,13 @@ class TestWatchCli:
 
 class TestJointObservabilityStreaming:
     def test_health_resources_and_live_under_process_backend(self, tmp_path):
-        """HealthMonitor + ResourceSampler + LiveAggregator together on a
-        streamed run under the process backend: the run stays healthy, the
-        sampler sees driver and worker sources, ingest polls happen, and
-        the live snapshot reflects all of it."""
+        """LiveAggregator + QualityProbe + ResourceSampler together on a
+        clean streamed run under the process backend: the run ends with
+        zero warnings, the sampler sees driver and worker sources, ingest
+        polls happen, and the live snapshot reflects all of it."""
+        from repro.eval import QualityProbe
         from repro.experiments.streaming import StreamingSpec, build_streaming_run
-        from repro.telemetry import HealthMonitor, ResourceSampler
+        from repro.telemetry import ResourceSampler
 
         setup = build_streaming_run(
             StreamingSpec(seed=7, k=2, n_design=256, prime_samples=64)
@@ -725,18 +797,15 @@ class TestJointObservabilityStreaming:
             source=setup.source,
         )
         history = driver.run(
-            callbacks=[HealthMonitor(), ResourceSampler(), agg, Resources()]
+            callbacks=[agg, QualityProbe(), ResourceSampler(), Resources()]
         )
         assert history.rounds_completed == 2
-        # The tiny primed channel legitimately pauses at its watermark, so
-        # warning-level backpressure alerts are fine; nothing critical.
-        assert all(w.severity != "critical" for w in history.health_warnings), [
-            w.render() for w in history.health_warnings
-        ]
+        assert history.healthy, [w.render() for w in history.health_warnings]
         assert "driver" in samples
         assert any(s and s.startswith("worker") for s in samples)
         snap = agg.snapshot()
         assert snap["ingest"] is not None
         assert snap["ingest"]["universe_size"] > 64
         assert snap["windows"]["ingest_admitted"]["count"] >= 1
-        assert snap["alerts"]["critical"] == 0
+        assert snap["quality"] is not None
+        assert snap["alerts"]["count"] == 0

@@ -378,7 +378,7 @@ class TestTraceHeader:
         bad = tmp_path / "bad.jsonl"
         bad.write_text(
             '{"type": "round_end", "round": 0}\n'
-            '{"type": "trace_header", "version": 2}\n'
+            '{"type": "trace_header", "version": 3}\n'
         )
         with pytest.raises(
             ValueError, match="only valid as the first record"
@@ -386,10 +386,19 @@ class TestTraceHeader:
             load_trace(bad)
 
     def test_unsupported_version_rejected(self, tmp_path):
-        future = tmp_path / "future.jsonl"
-        future.write_text('{"type": "trace_header", "version": 99}\n')
-        with pytest.raises(ValueError, match="version 99"):
-            load_trace(future)
+        # 99 is from the future; 2 is the last schema that still carried
+        # ``health`` events beside ``alert`` ones.
+        for version in (99, 2):
+            other = tmp_path / f"v{version}.jsonl"
+            other.write_text(
+                f'{{"type": "trace_header", "version": {version}}}\n'
+            )
+            with pytest.raises(
+                ValueError,
+                match=rf"unsupported trace schema version {version} "
+                rf"\(supported: \[3\]\)",
+            ):
+                load_trace(other)
 
     def test_context_manager_flushes_header_even_without_events(
         self, tmp_path

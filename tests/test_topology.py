@@ -409,7 +409,7 @@ class TestAsyncPairwiseRuns:
         self, backend_name, tiny_dataset, tiny_spec, tiny_autoencoder
     ):
         from repro.exec import resolve_backend
-        from repro.telemetry import HealthMonitor
+        from repro.telemetry import LiveAggregator
 
         trainers = _population(tiny_dataset, tiny_spec, tiny_autoencoder, k=3)
         events = _PairingEvents()
@@ -419,15 +419,10 @@ class TestAsyncPairwiseRuns:
             "async_pairwise",
             rounds=2,
             backend=resolve_backend(backend_name, max_workers=2),
-            callbacks=[events, HealthMonitor()],
+            callbacks=[events, LiveAggregator()],
         )
         assert history.rounds_completed == 2
-        # Tiny workloads legitimately trip the fetch-stall heuristic;
-        # only model pathologies count against the run here.
-        assert not [
-            w for w in history.health_warnings
-            if w.kind in ("loss_divergence", "winrate_collapse")
-        ]
+        assert history.healthy, [w.render() for w in history.health_warnings]
         assert all(t.steps_done == 4 for t in driver.trainers)
         # Every round emitted a pairing event with topology attribution
         # and one pair + one bye (k=3).
@@ -589,14 +584,11 @@ class TestNeighborhoodHealth:
     """Satellite: per-neighborhood win-rate collapse detection."""
 
     def _monitor(self, **kwargs):
-        from types import SimpleNamespace
-
-        from repro.telemetry import HealthMonitor, TelemetryHub
+        from repro.telemetry import LiveAggregator, TelemetryHub
 
         hub = TelemetryHub()
-        monitor = HealthMonitor(**kwargs)
+        monitor = LiveAggregator(**kwargs).attach(hub)
         hub.subscribe(monitor)
-        monitor.on_run_begin(SimpleNamespace(telemetry=hub))
         return hub, monitor
 
     def test_neighborhood_collapse_flags_early(self):
@@ -611,9 +603,10 @@ class TestNeighborhoodHealth:
                 topology="cellular_grid", neighborhood="cell(0,0)|cell(0,1)",
             )
             hub.emit("round_end", round=r, train_s=1.0)
-        assert [w.kind for w in monitor.warnings] == ["winrate_collapse"]
-        assert "cell(0,0)|cell(0,1)" in monitor.warnings[0].message
-        assert monitor.warnings[0].trainer == "t1"
+        assert [w.kind for w in monitor.alerts] == ["winrate_collapse"]
+        assert "cell(0,0)|cell(0,1)" in monitor.alerts[0].message
+        assert monitor.alerts[0].trainer == "t1"
+        assert monitor.alerts[0].neighborhood == "cell(0,0)|cell(0,1)"
 
     def test_population_collapse_message_unchanged(self):
         # Events without a neighborhood reproduce the historical
@@ -626,9 +619,9 @@ class TestNeighborhoodHealth:
                     own_score=0.0, partner_score=1.0, adopted=True,
                 )
             hub.emit("round_end", round=r, train_s=1.0)
-        assert len(monitor.warnings) == 1
+        assert len(monitor.alerts) == 1
         assert "the population is collapsing onto one model" in (
-            monitor.warnings[0].message
+            monitor.alerts[0].message
         )
 
     def test_local_flag_does_not_suppress_population_flag(self):
@@ -645,9 +638,12 @@ class TestNeighborhoodHealth:
                     neighborhood="cell(0,0)|cell(0,1)",
                 )
             hub.emit("round_end", round=r, train_s=1.0)
-        kinds = [w.kind for w in monitor.warnings]
+        kinds = [w.kind for w in monitor.alerts]
         assert kinds == ["winrate_collapse", "winrate_collapse"]
-        messages = " | ".join(w.message for w in monitor.warnings)
+        assert [w.neighborhood for w in monitor.alerts] == [
+            "cell(0,0)|cell(0,1)", None,
+        ]
+        messages = " | ".join(w.message for w in monitor.alerts)
         assert "neighborhood" in messages
         assert "the population is collapsing onto one model" in messages
 
@@ -660,7 +656,7 @@ class TestNeighborhoodHealth:
                 topology="cellular_grid", neighborhood="cell(0,0)|cell(0,1)",
             )
             hub.emit("round_end", round=r, train_s=1.0)
-        assert monitor.warnings == []
+        assert monitor.alerts == []
 
 
 class TestKIndependentUnchanged:
