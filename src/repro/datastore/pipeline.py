@@ -51,7 +51,10 @@ class BatchPipeline:
     Tracks the *delivered* position: ``_cursor_plan`` is the epoch plan
     containing the next undelivered batch and ``_cursor_step`` its step
     index (``== len(plan)`` when the epoch is fully delivered and the next
-    call rolls over).  ``reader.epochs_completed`` advances exactly when
+    call rolls over).  A fresh pipeline has drawn nothing: the first plan
+    comes from the first batch or :meth:`state` call, or from
+    :meth:`restore` — so a suspend/resume costs exactly one plan.
+    ``reader.epochs_completed`` advances exactly when
     an epoch's final batch is delivered — delivery semantics, shared with
     :meth:`Reader.epoch`.
 
@@ -71,7 +74,7 @@ class BatchPipeline:
         self.telemetry = None
         self.context: Mapping[str, object] = {}
         self._consumed_any = False
-        self._cursor_plan: EpochPlan = reader.plan_epoch(batch_size, drop_last)
+        self._cursor_plan: EpochPlan | None = None
         self._cursor_step = 0
 
     # -- consumption ---------------------------------------------------------
@@ -96,13 +99,21 @@ class BatchPipeline:
         )
         return mb
 
+    def _plan(self) -> EpochPlan:
+        """The cursor's epoch plan, drawn on first use."""
+        if self._cursor_plan is None:
+            self._cursor_plan = self.reader.plan_epoch(
+                self.batch_size, self.drop_last
+            )
+        return self._cursor_plan
+
     def _obtain(self):
         """Produce the next (plan, batch plan, batch, materialize_s)."""
-        plan, step = self._cursor_plan, self._cursor_step
+        plan, step = self._plan(), self._cursor_step
         if step >= len(plan):
             plan = self.reader.plan_epoch(self.batch_size, self.drop_last)
             step = 0
-        bp = plan.batches[step]
+        bp = plan[step]
         tracer = getattr(self.telemetry, "tracer", None)
         t0 = time.perf_counter()
         if tracer is not None:
@@ -128,14 +139,15 @@ class BatchPipeline:
         Safe to call while a prefetch thread is running: it reads only
         consumer-side cursor fields and immutable plan snapshots.
         """
+        plan = self._plan()
         return {
             "batch_size": self.batch_size,
             "drop_last": self.drop_last,
             "prefetch_depth": self.depth,
-            "epoch_index": self._cursor_plan.epoch_index,
-            "epoch_rng_state": self._cursor_plan.rng_state,
+            "epoch_index": plan.epoch_index,
+            "epoch_rng_state": plan.rng_state,
             "next_step": self._cursor_step,
-            "universe_version": self._cursor_plan.universe_version,
+            "universe_version": plan.universe_version,
         }
 
     def restore(self, state: Mapping) -> None:
@@ -232,6 +244,7 @@ class PrefetchingReader(BatchPipeline):
 
     def _start_if_needed(self) -> None:
         if self._thread is None:
+            self._plan()  # drawn here: the consumer reads it in state()
             self._thread = threading.Thread(
                 target=self._produce,
                 name=f"repro-prefetch-{id(self):x}",
@@ -260,7 +273,7 @@ class PrefetchingReader(BatchPipeline):
                 if step >= len(plan):
                     plan = self.reader.plan_epoch(self.batch_size, self.drop_last)
                     step = 0
-                bp = plan.batches[step]
+                bp = plan[step]
                 tracer = getattr(self.telemetry, "tracer", None)
                 t0 = time.perf_counter()
                 if tracer is not None:

@@ -89,6 +89,12 @@ class BatchPlan:
 class EpochPlan:
     """A full epoch's batch schedule plus the RNG provenance to replay it.
 
+    The plan holds the epoch's sample ids in delivery order and cuts a
+    :class:`BatchPlan` out of them when a step is asked for
+    (``plan[step]``, iteration, :attr:`batches`): drawing a plan costs one
+    permutation however many steps the epoch has, so a plan that is
+    re-drawn on every resume is paid for only in the steps it delivers.
+
     ``rng_state`` is the reader RNG's bit-generator state *before* the
     permutation was drawn: restoring it and calling
     :meth:`Reader.plan_epoch` again regenerates this exact plan — the
@@ -105,14 +111,30 @@ class EpochPlan:
     batch_size: int
     drop_last: bool
     rng_state: dict
-    batches: tuple[BatchPlan, ...]
+    sample_ids: np.ndarray  # every id the epoch delivers, in order
     universe_version: int | None = None
 
     def __len__(self) -> int:
-        return len(self.batches)
+        return -(-self.sample_ids.size // self.batch_size)
+
+    def __getitem__(self, step: int) -> BatchPlan:
+        steps = len(self)
+        if not 0 <= step < steps:
+            raise IndexError(f"step {step} is outside the {steps}-step epoch")
+        lo = step * self.batch_size
+        return BatchPlan(
+            epoch_index=self.epoch_index,
+            step_index=step,
+            sample_ids=self.sample_ids[lo : lo + self.batch_size],
+            is_last=(step == steps - 1),
+        )
 
     def __iter__(self) -> Iterator[BatchPlan]:
-        return iter(self.batches)
+        return (self[step] for step in range(len(self)))
+
+    @property
+    def batches(self) -> tuple[BatchPlan, ...]:
+        return tuple(self)
 
 
 class Reader(ABC):
@@ -150,9 +172,10 @@ class Reader(ABC):
     def plan_epoch(self, batch_size: int, drop_last: bool = True) -> EpochPlan:
         """Decide one epoch's batches: the only phase that touches the RNG.
 
-        Draws a fresh permutation and slices it into
-        :class:`BatchPlan` entries; performs no file or store I/O, so a
-        plan can be drawn arbitrarily far ahead of materialization.
+        Draws a fresh permutation (the :class:`EpochPlan` slices it into
+        :class:`BatchPlan` entries on access); performs no file or store
+        I/O, so a plan can be drawn arbitrarily far ahead of
+        materialization.
         """
         universe_version = self._freeze_plan_universe()
         steps = self.steps_per_epoch(batch_size, drop_last)
@@ -164,17 +187,9 @@ class Reader(ABC):
         perm = self._rng.permutation(self.num_samples)
         epoch_index = self._epochs_planned
         self._epochs_planned += 1
-        batches = tuple(
-            BatchPlan(
-                epoch_index=epoch_index,
-                step_index=s,
-                sample_ids=self.sample_ids[perm[s * batch_size : (s + 1) * batch_size]],
-                is_last=(s == steps - 1),
-            )
-            for s in range(steps)
-        )
         return EpochPlan(
-            epoch_index, batch_size, drop_last, rng_state, batches,
+            epoch_index, batch_size, drop_last, rng_state,
+            self.sample_ids[perm[: steps * batch_size]],  # drop_last cuts the tail
             universe_version=universe_version,
         )
 

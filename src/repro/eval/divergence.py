@@ -57,6 +57,8 @@ __all__ = [
     "kl_divergence",
     "js_divergence",
     "hellinger_distance",
+    "PreparedReference",
+    "prepare_reference",
     "scalar_divergences",
 ]
 
@@ -159,6 +161,86 @@ def hellinger_distance(p: np.ndarray, q: np.ndarray) -> float:
     return float(np.linalg.norm(np.sqrt(p) - np.sqrt(q)) / np.sqrt(2.0))
 
 
+@dataclass(frozen=True)
+class PreparedReference:
+    """The reference side of the protocol, computed once: z-score
+    statistics, the shared edges and the per-dimension reference
+    histograms.  :meth:`score` runs any number of model samples against
+    it (the probe scores every trainer of a round on one of these)."""
+
+    mu: np.ndarray
+    sigma: np.ndarray
+    edges: np.ndarray
+    probs: tuple[np.ndarray, ...]
+    n: int
+    bins: int
+    span: float
+    eps: float
+
+    def score(self, model: np.ndarray) -> DivergenceResult:
+        """Divergences of one ``(n, d)`` model sample from the reference."""
+        out = np.asarray(model, dtype=np.float64)
+        if out.ndim == 1:
+            out = out[:, None]
+        if out.ndim != 2 or out.shape[1] != len(self.probs):
+            raise ValueError(
+                f"dimension mismatch: reference has {len(self.probs)} scalar "
+                f"dims, model sample has shape {out.shape}"
+            )
+        if out.shape[0] == 0:
+            raise ValueError("cannot estimate divergence from an empty sample")
+        out_z = (out - self.mu) / self.sigma
+
+        kl_dims, js_dims, hel_dims = [], [], []
+        for dim, p in enumerate(self.probs):
+            q = histogram_probs(out_z[:, dim], self.edges, self.eps)
+            kl_dims.append(kl_divergence(p, q))
+            js_dims.append(js_divergence(p, q))
+            hel_dims.append(hellinger_distance(p, q))
+
+        return DivergenceResult(
+            kl=float(np.mean(kl_dims)),
+            js=float(np.mean(js_dims)),
+            hellinger=float(np.mean(hel_dims)),
+            mean_delta=float(np.mean(np.abs(out_z.mean(axis=0)))),
+            std_delta=float(np.mean(np.abs(out_z.std(axis=0) - 1.0))),
+            n_reference=self.n,
+            n_model=int(out.shape[0]),
+            bins=self.bins,
+            span=self.span,
+            per_dim_js=tuple(float(v) for v in js_dims),
+        )
+
+
+def prepare_reference(
+    reference: np.ndarray,
+    *,
+    bins: int = 32,
+    span: float = 4.0,
+    eps: float = 1e-6,
+) -> PreparedReference:
+    """Steps 1-4 of the protocol for the ``(n, d)`` reference sample
+    (1-D input is treated as one dimension)."""
+    ref = np.asarray(reference, dtype=np.float64)
+    if ref.ndim == 1:
+        ref = ref[:, None]
+    if ref.ndim != 2:
+        raise ValueError(f"samples must be (n, d) arrays, got {ref.shape}")
+    if ref.shape[0] == 0:
+        raise ValueError("cannot estimate divergence from an empty sample")
+    mu = ref.mean(axis=0)
+    sigma = ref.std(axis=0)
+    sigma = np.where(sigma < _TINY, 1.0, sigma)
+    ref_z = (ref - mu) / sigma
+    edges = fixed_bin_edges(bins, span)
+    probs = tuple(
+        histogram_probs(ref_z[:, dim], edges, eps) for dim in range(ref.shape[1])
+    )
+    return PreparedReference(
+        mu, sigma, edges, probs, int(ref.shape[0]), int(bins), float(span), eps
+    )
+
+
 def scalar_divergences(
     reference: np.ndarray,
     model: np.ndarray,
@@ -174,48 +256,4 @@ def scalar_divergences(
     share ``d``.  Returns per-metric means across dimensions plus moment
     deltas, all deterministic in the inputs.
     """
-    ref = np.asarray(reference, dtype=np.float64)
-    out = np.asarray(model, dtype=np.float64)
-    if ref.ndim == 1:
-        ref = ref[:, None]
-    if out.ndim == 1:
-        out = out[:, None]
-    if ref.ndim != 2 or out.ndim != 2:
-        raise ValueError(
-            f"samples must be (n, d) arrays, got {ref.shape} vs {out.shape}"
-        )
-    if ref.shape[1] != out.shape[1]:
-        raise ValueError(
-            f"dimension mismatch: reference has {ref.shape[1]} scalar dims, "
-            f"model has {out.shape[1]}"
-        )
-    if ref.shape[0] == 0 or out.shape[0] == 0:
-        raise ValueError("cannot estimate divergence from an empty sample")
-
-    mu = ref.mean(axis=0)
-    sigma = ref.std(axis=0)
-    sigma = np.where(sigma < _TINY, 1.0, sigma)
-    ref_z = (ref - mu) / sigma
-    out_z = (out - mu) / sigma
-    edges = fixed_bin_edges(bins, span)
-
-    kl_dims, js_dims, hel_dims = [], [], []
-    for dim in range(ref.shape[1]):
-        p = histogram_probs(ref_z[:, dim], edges, eps)
-        q = histogram_probs(out_z[:, dim], edges, eps)
-        kl_dims.append(kl_divergence(p, q))
-        js_dims.append(js_divergence(p, q))
-        hel_dims.append(hellinger_distance(p, q))
-
-    return DivergenceResult(
-        kl=float(np.mean(kl_dims)),
-        js=float(np.mean(js_dims)),
-        hellinger=float(np.mean(hel_dims)),
-        mean_delta=float(np.mean(np.abs(out_z.mean(axis=0)))),
-        std_delta=float(np.mean(np.abs(out_z.std(axis=0) - 1.0))),
-        n_reference=int(ref.shape[0]),
-        n_model=int(out.shape[0]),
-        bins=int(bins),
-        span=float(span),
-        per_dim_js=tuple(float(v) for v in js_dims),
-    )
+    return prepare_reference(reference, bins=bins, span=span, eps=eps).score(model)

@@ -32,7 +32,7 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.eval.divergence import scalar_divergences
+from repro.eval.divergence import prepare_reference
 from repro.eval.reservoir import Reservoir
 from repro.telemetry.callbacks import Callback
 from repro.telemetry.events import EVAL
@@ -157,6 +157,11 @@ class QualityProbe(Callback):
         t0 = time.perf_counter()
         divergence: dict[str, dict[str, float]] = {}
         with probe_span:
+            # One reservoir sample per round: its statistics and histograms
+            # are the same for every trainer scored against it.
+            prepared = prepare_reference(
+                scalars, bins=self.bins, span=self.span, eps=self.eps
+            )
             for trainer in driver.trainers:
                 trainer_span = (
                     tracer.span("eval.trainer", cat="eval", track="driver",
@@ -165,10 +170,7 @@ class QualityProbe(Callback):
                 )
                 with trainer_span:
                     scalars_hat, _ = trainer.surrogate.predict_outputs(params)
-                    result = scalar_divergences(
-                        scalars, scalars_hat,
-                        bins=self.bins, span=self.span, eps=self.eps,
-                    )
+                    result = prepared.score(scalars_hat)
                 metrics = {k: result.value(k) for k in self.EXPORTED}
                 divergence[trainer.name] = metrics
                 self.trajectory.setdefault(trainer.name, []).append(

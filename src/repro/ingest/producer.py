@@ -5,12 +5,15 @@ up front and bundles it onto the file system; :class:`StreamingCampaign`
 is its online counterpart — the same design, the same simulator, the same
 workflow-engine schedule, but each task's sample is *published into an
 ingest channel at its simulated completion time* and no file is ever
-written.  Production is pull-driven: :meth:`StreamingCampaign.pump`
-advances the ensemble task-by-task in completion order
-(:meth:`~repro.workflow.engine.EnsembleWorkflow.iter_results`) and stops
-at the channel's high watermark, so channel backpressure reaches all the
-way into the simulation schedule and the publish sequence is a pure
-function of the pump-call sequence.
+written.  Production is pull-driven: :meth:`StreamingCampaign.pump` takes
+the next tasks in completion order
+(:meth:`~repro.workflow.engine.EnsembleWorkflow.iter_results`), simulates
+them as **one block** (the simulator is vectorized over samples and
+row-independent, see :mod:`repro.jag`) and publishes row by row, stopping
+at the channel's high watermark.  Backpressure therefore bounds
+*publication*; at most one pump's budget of rows is simulated ahead of it
+and waits, in order, for the next pump — so the publish sequence is still
+a pure function of the pump-call sequence.
 
 Streaming breaks one thing the offline path takes for granted: global
 z-score normalization of the scalars (you cannot average what has not
@@ -24,7 +27,9 @@ note the overlap caveat on that method.
 
 from __future__ import annotations
 
-from typing import Iterator
+from collections import deque
+from itertools import islice
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -107,39 +112,63 @@ class StreamingCampaign:
             "images": img.reshape(n_cal, -1).astype(np.float32),
         }
 
-        # Completion-order iterator, started lazily on the first pump.
+        # Completion-order iterator, started lazily on the first pump, and
+        # the rows simulated from it that no pump has published yet.
         self._iter: Iterator[TaskResult] | None = None
+        self._ready: deque[StreamedSample] = deque()
         self.pool_stats: WorkflowStats | None = None
         self.produced = 0
         self.exhausted = False
-        self.clock_s = 0.0  # simulated time of the newest finished task
+        self.clock_s = 0.0  # simulated time of the newest published task
 
-    def task_sample(self, task_id: int) -> dict[str, np.ndarray]:
-        """Run the JAG physics for one design point (the workflow's
-        ``task_fn``): simulate, render, post-process, normalize."""
-        row = self._x[task_id : task_id + 1]
-        state = self._sim.run(row)
+    def task_sample(self, task_ids: Sequence[int]) -> dict[str, np.ndarray]:
+        """Run the JAG physics for a block of design points: simulate,
+        render, post-process, normalize.  Row ``i`` of every returned
+        array is ``task_ids[i]``'s sample, bit-equal to simulating that
+        point alone.  All streamed simulation goes through here."""
+        rows = self._x[np.asarray(task_ids, dtype=np.int64)]
+        state = self._sim.run(rows)
         img = self._sim.render_images(state)
         scalars = (derive_scalars(state, img) - self.scalar_mean) / self.scalar_std
         return {
-            "params": row[0],
-            "scalars": scalars[0].astype(np.float32),
-            "images": img.reshape(1, -1)[0].astype(np.float32),
+            "params": rows,
+            "scalars": scalars.astype(np.float32),
+            "images": img.reshape(len(rows), -1).astype(np.float32),
         }
 
     def _results(self) -> Iterator[TaskResult]:
         times = [self.task_seconds] * self.config.n_samples
-        workflow = EnsembleWorkflow(self.pool, task_fn=self.task_sample)
+        workflow = EnsembleWorkflow(self.pool)  # timing only
         _, self.pool_stats = workflow._schedule(times)
         return workflow.iter_results(times)
 
-    def pump(self, channel: IngestChannel, max_tasks: int) -> int:
-        """Advance up to ``max_tasks`` simulations, publishing each.
+    def _simulate_ahead(self, n_tasks: int) -> None:
+        """Take the next ``n_tasks`` completions off the schedule and
+        simulate them in one call; the rows queue up for publication."""
+        block = list(islice(self._iter, n_tasks))
+        if not block:
+            return
+        fields = self.task_sample([r.task_id for r in block])
+        for i, r in enumerate(block):
+            self._ready.append(
+                StreamedSample(
+                    sample_id=r.task_id,
+                    fields={name: column[i] for name, column in fields.items()},
+                    produced_at=r.end_time,
+                    task_id=r.task_id,
+                )
+            )
 
-        Honors the channel's watermark pause: publication stops as soon
-        as :attr:`IngestChannel.paused` turns on, leaving the remaining
-        schedule untouched (those simulations simply have not run yet).
-        Returns the number of samples published this call.
+    def pump(self, channel: IngestChannel, max_tasks: int) -> int:
+        """Publish up to ``max_tasks`` finished simulations.
+
+        Simulates (at most once per call) whatever the queue of
+        simulated-but-unpublished rows lacks of ``max_tasks``, then
+        publishes in completion order.  Honors the channel's watermark
+        pause: publication stops as soon as :attr:`IngestChannel.paused`
+        turns on; rows already simulated wait for the next pump, the rest
+        of the schedule has not run.  Returns the number of samples
+        published this call.
         """
         if max_tasks <= 0:
             raise ValueError("max_tasks must be positive")
@@ -147,21 +176,17 @@ class StreamingCampaign:
             return 0
         if self._iter is None:
             self._iter = self._results()
+        short = max_tasks - len(self._ready)
+        if short > 0 and not channel.paused:
+            self._simulate_ahead(short)
         published = 0
         while published < max_tasks and not channel.paused:
-            result = next(self._iter, None)
-            if result is None:
+            if not self._ready:
                 self.exhausted = True
                 break
-            self.clock_s = max(self.clock_s, result.end_time)
-            channel.publish(
-                StreamedSample(
-                    sample_id=result.task_id,
-                    fields=result.output,
-                    produced_at=result.end_time,
-                    task_id=result.task_id,
-                )
-            )
+            sample = self._ready.popleft()
+            self.clock_s = max(self.clock_s, sample.produced_at)
+            channel.publish(sample)
             self.produced += 1
             published += 1
         return published

@@ -43,7 +43,7 @@ class SampleUniverse:
     """
 
     def __init__(self) -> None:
-        self._log: list[int] = []  # admission order
+        self._log = np.empty(0, dtype=np.int64)  # admission order
         self._fields: dict[int, dict[str, np.ndarray]] = {}
         self._sizes: list[int] = [0]  # size frozen at each version
 
@@ -53,7 +53,7 @@ class SampleUniverse:
 
     @property
     def size(self) -> int:
-        return len(self._log)
+        return int(self._log.size)
 
     def __contains__(self, sample_id: int) -> bool:
         return int(sample_id) in self._fields
@@ -61,7 +61,7 @@ class SampleUniverse:
     def admit(self, samples: Iterable[StreamedSample]) -> int:
         """Append new samples (idempotent per id); returns how many were
         new.  Bumps :attr:`version` when anything was added."""
-        added = 0
+        new = []
         for s in samples:
             sid = int(s.sample_id)
             if sid in self._fields:
@@ -69,11 +69,13 @@ class SampleUniverse:
             self._fields[sid] = {
                 k: np.asarray(v) for k, v in s.fields.items()
             }
-            self._log.append(sid)
-            added += 1
-        if added:
-            self._sizes.append(len(self._log))
-        return added
+            new.append(sid)
+        if new:
+            # A new array per version: snapshots handed out earlier are
+            # slices of the old one and never see the growth.
+            self._log = np.concatenate((self._log, np.asarray(new, dtype=np.int64)))
+            self._sizes.append(self.size)
+        return len(new)
 
     def size_at(self, version: int) -> int:
         if not 0 <= version <= self.version:
@@ -83,8 +85,9 @@ class SampleUniverse:
         return self._sizes[version]
 
     def snapshot_ids(self, version: int) -> np.ndarray:
-        """The frozen id set of ``version``, in admission order."""
-        return np.asarray(self._log[: self.size_at(version)], dtype=np.int64)
+        """The frozen id set of ``version``, in admission order (a slice
+        of the log, not a copy: treat it as read-only)."""
+        return self._log[: self.size_at(version)]
 
     def fields_of(self, sample_id: int) -> dict[str, np.ndarray]:
         return self._fields[int(sample_id)]
@@ -108,7 +111,7 @@ class SampleUniverse:
         (e.g. to rebuild a store after a checkpoint replay).  Returns how
         many samples the store newly admitted."""
         before = store.stats.admitted
-        for sid in self._log:
+        for sid in self._log.tolist():
             store.admit(sid, self._fields[sid])
         return store.stats.admitted - before
 

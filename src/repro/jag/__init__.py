@@ -25,6 +25,12 @@ the drive, images mostly to the shape modes; all modalities are jointly
 determined by the same latent implosion state (so a joint surrogate is the
 right model class); samples are produced in exploration order (so
 contiguous file partitions are non-IID).
+
+Contract: the simulator is **row-independent** — ``JagSimulator.run``,
+``render_images`` and ``derive_scalars`` on a block of rows are bit-equal
+to the same rows evaluated one at a time.  Chunked dataset generation and
+the streaming campaign's block simulation (:mod:`repro.ingest.producer`)
+rest on it; ``tests/test_jag.py`` holds it as a property.
 """
 
 from repro.jag.params import PARAMETER_NAMES, NUM_PARAMS, ParameterSpace

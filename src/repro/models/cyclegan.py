@@ -377,10 +377,10 @@ class ICFSurrogate:
         disc_optimizer.step(self.discriminator.trainable_weights)
 
         # --- generator phase ---
+        # The decoder and (for this phase) the discriminator are frozen:
+        # gradients pass through them to z, their weights get none.
         self.forward_model.zero_grad()
         self.inverse_model.zero_grad()
-        self.autoencoder.decoder.zero_grad()
-        self.discriminator.zero_grad()
 
         z = self.forward_model.forward(
             {"in": params}, outputs=["out"], training=True
@@ -394,7 +394,8 @@ class ICFSurrogate:
             {
                 "scalars_out": cfg.w_scalar_fidelity * grad_s,
                 "images_out": cfg.w_image_fidelity * grad_i,
-            }
+            },
+            through=True,
         )["latent"]
 
         adv_logits = self.discriminator.forward(
@@ -404,7 +405,7 @@ class ICFSurrogate:
             adv_logits, np.ones((n, 1), dtype=np.float32)
         )
         z_grad = z_grad + self.discriminator.backward(
-            {"out": cfg.w_adversarial * grad_adv}
+            {"out": cfg.w_adversarial * grad_adv}, through=True
         )["in"]
 
         x_hat = self.inverse_model.forward(

@@ -75,15 +75,13 @@ def elu_grad(x: np.ndarray, y: np.ndarray, alpha: float = 1.0) -> np.ndarray:
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Numerically stable logistic sigmoid.
 
-    Split on sign so ``exp`` is only ever evaluated on non-positive values,
-    avoiding overflow for large-magnitude logits.
+    ``exp`` is only ever evaluated on ``-|x|``, so it cannot overflow for
+    large-magnitude logits; the sign picks which of the two algebraically
+    equal forms is the well-conditioned one.
     """
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def sigmoid_grad(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -170,14 +170,16 @@ class LayerGraph:
         return result
 
     def backward(
-        self, output_grads: Mapping[str, np.ndarray]
+        self, output_grads: Mapping[str, np.ndarray], through: bool = False
     ) -> dict[str, np.ndarray]:
         """Back-propagate from the given output gradients.
 
         Accumulates weight gradients in every traversed layer and returns
         the gradients that reach each ``Input`` layer (useful when chaining
         models, e.g. pushing the adversarial gradient from a discriminator
-        into a generator).
+        into a generator).  ``through=True`` is the pass for a frozen
+        graph: the same input gradients, no weight gradient computed or
+        touched.
         """
         if not self._activations:
             raise GraphError("backward() without a preceding forward()")
@@ -199,7 +201,7 @@ class LayerGraph:
             layer = self._layers[name]
             if isinstance(layer, Input) or name not in grads:
                 continue
-            parent_grads = layer.backward(grads.pop(name))
+            parent_grads = layer.backward(grads.pop(name), through)
             for p, pg in zip(self._parents[name], parent_grads):
                 if p in grads:
                     grads[p] = grads[p] + pg

@@ -93,17 +93,22 @@ class Layer(ABC):
         self._cache = {}
         return self._forward(inputs, training, self._cache)
 
-    def backward(self, grad_output: np.ndarray) -> list[np.ndarray]:
+    def backward(
+        self, grad_output: np.ndarray, through: bool = False
+    ) -> list[np.ndarray]:
         """Propagate a gradient through the layer.
 
         Accumulates weight gradients as a side effect and returns one
         gradient array per input, aligned with the forward ``inputs`` list.
+        With ``through`` (a frozen layer the gradient merely passes
+        through) the weight gradients are neither computed nor touched;
+        the returned input gradients are the same.
         """
         if self._cache is None:
             raise RuntimeError(
                 f"backward() on layer {self.name!r} without a preceding forward()"
             )
-        grads = self._backward(grad_output, self._cache)
+        grads = self._backward(grad_output, self._cache, through)
         self._cache = None
         return grads
 
@@ -134,8 +139,11 @@ class Layer(ABC):
         """Compute the layer output; stash backward context in ``cache``."""
 
     @abstractmethod
-    def _backward(self, grad_output: np.ndarray, cache: dict) -> list[np.ndarray]:
-        """Return input gradients; accumulate weight gradients."""
+    def _backward(
+        self, grad_output: np.ndarray, cache: dict, through: bool
+    ) -> list[np.ndarray]:
+        """Return input gradients; accumulate weight gradients unless
+        ``through``."""
 
     # -- helpers -------------------------------------------------------------
 

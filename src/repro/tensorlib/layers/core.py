@@ -42,7 +42,7 @@ class Input(Layer):
     def _forward(self, inputs, training, cache):  # pragma: no cover - graph feeds directly
         raise RuntimeError("Input layers are fed by the graph, not forwarded")
 
-    def _backward(self, grad_output, cache):  # pragma: no cover
+    def _backward(self, grad_output, cache, through):  # pragma: no cover
         raise RuntimeError("Input layers have no backward pass")
 
     def feed(self, batch: np.ndarray) -> np.ndarray:
@@ -71,7 +71,7 @@ class Identity(Layer):
     def _forward(self, inputs, training, cache):
         return inputs[0]
 
-    def _backward(self, grad_output, cache):
+    def _backward(self, grad_output, cache, through):
         return [grad_output]
 
 
@@ -121,11 +121,12 @@ class FullyConnected(Layer):
             y += self.bias.value
         return y
 
-    def _backward(self, grad_output, cache):
+    def _backward(self, grad_output, cache, through):
         x = cache["x"]
-        self.kernel.accumulate_grad(x.T @ grad_output)
-        if self.use_bias:
-            self.bias.accumulate_grad(grad_output.sum(axis=0))
+        if not through:
+            self.kernel.accumulate_grad(x.T @ grad_output)
+            if self.use_bias:
+                self.bias.accumulate_grad(grad_output.sum(axis=0))
         dx = grad_output @ self.kernel.value.T
         return [dx.reshape((x.shape[0],) + self.input_shapes[0])]
 
@@ -158,7 +159,7 @@ class Activation(Layer):
         cache["x"], cache["y"] = x, y
         return y
 
-    def _backward(self, grad_output, cache):
+    def _backward(self, grad_output, cache, through):
         local = self._grad_fn(cache["x"], cache["y"], **self.kwargs)
         return [grad_output * local]
 
@@ -195,7 +196,7 @@ class Dropout(Layer):
         cache["mask"] = mask
         return x * mask
 
-    def _backward(self, grad_output, cache):
+    def _backward(self, grad_output, cache, through):
         mask = cache["mask"]
         if mask is None:
             return [grad_output]
@@ -252,10 +253,11 @@ class BatchNorm(Layer):
         cache.update(x_hat=x_hat, inv_std=inv_std, training=training)
         return self.gamma.value * x_hat + self.beta.value
 
-    def _backward(self, grad_output, cache):
+    def _backward(self, grad_output, cache, through):
         x_hat, inv_std = cache["x_hat"], cache["inv_std"]
-        self.gamma.accumulate_grad((grad_output * x_hat).sum(axis=0))
-        self.beta.accumulate_grad(grad_output.sum(axis=0))
+        if not through:
+            self.gamma.accumulate_grad((grad_output * x_hat).sum(axis=0))
+            self.beta.accumulate_grad(grad_output.sum(axis=0))
         g = grad_output * self.gamma.value
         if not cache["training"]:
             return [g * inv_std]
@@ -287,7 +289,7 @@ class Concatenation(Layer):
         cache["widths"] = [a.shape[1] for a in inputs]
         return np.concatenate(inputs, axis=1)
 
-    def _backward(self, grad_output, cache):
+    def _backward(self, grad_output, cache, through):
         splits = np.cumsum(cache["widths"])[:-1]
         return list(np.split(grad_output, splits, axis=1))
 
@@ -317,7 +319,7 @@ class Slice(Layer):
         # consumer layers never mutate activations in place.
         return inputs[0][:, self.start : self.stop]
 
-    def _backward(self, grad_output, cache):
+    def _backward(self, grad_output, cache, through):
         dx = np.zeros((grad_output.shape[0], cache["width"]), dtype=grad_output.dtype)
         dx[:, self.start : self.stop] = grad_output
         return [dx]
@@ -342,7 +344,7 @@ class Sum(Layer):
             out += a
         return out
 
-    def _backward(self, grad_output, cache):
+    def _backward(self, grad_output, cache, through):
         return [grad_output] * cache["n"]
 
     def flops_per_sample(self) -> int:

@@ -64,8 +64,12 @@ class Model:
     ) -> dict[str, np.ndarray]:
         return self.graph.forward(feeds, outputs=outputs, training=training)
 
-    def backward(self, output_grads: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
-        return self.graph.backward(output_grads)
+    def backward(
+        self, output_grads: Mapping[str, np.ndarray], through: bool = False
+    ) -> dict[str, np.ndarray]:
+        """Back-propagate; with ``through`` only the input gradients are
+        computed (a frozen model: no ``Weight.grad`` is written)."""
+        return self.graph.backward(output_grads, through)
 
     def predict(self, feeds: Mapping[str, np.ndarray], output: str) -> np.ndarray:
         """Convenience single-output inference call."""

@@ -33,6 +33,7 @@ from repro.eval import (
     scalar_divergences,
     summary_value,
 )
+from repro.eval.divergence import hellinger_distance, prepare_reference
 from repro.telemetry.events import EVAL, TelemetryEvent, TelemetryHub
 from repro.telemetry.live import LiveAggregator
 from repro.utils.rng import RngFactory
@@ -57,6 +58,35 @@ def val_batch(tiny_dataset):
 
 
 # -- estimators ---------------------------------------------------------------
+
+
+def unhoisted_divergences(reference, model, bins=32, span=4.0, eps=1e-6):
+    """``scalar_divergences`` as it was before the reference side was
+    hoisted into ``prepare_reference``: everything recomputed per call.
+    Returns the five exported metrics."""
+    ref = np.asarray(reference, dtype=np.float64)
+    out = np.asarray(model, dtype=np.float64)
+    mu = ref.mean(axis=0)
+    sigma = ref.std(axis=0)
+    sigma = np.where(sigma < 1e-12, 1.0, sigma)
+    ref_z = (ref - mu) / sigma
+    out_z = (out - mu) / sigma
+    edges = fixed_bin_edges(bins, span)
+    kl_dims, js_dims, hel_dims = [], [], []
+    for dim in range(ref.shape[1]):
+        p = histogram_probs(ref_z[:, dim], edges, eps)
+        q = histogram_probs(out_z[:, dim], edges, eps)
+        kl_dims.append(kl_divergence(p, q))
+        js_dims.append(js_divergence(p, q))
+        hel_dims.append(hellinger_distance(p, q))
+    return {
+        "kl": float(np.mean(kl_dims)),
+        "js": float(np.mean(js_dims)),
+        "hellinger": float(np.mean(hel_dims)),
+        "mean_delta": float(np.mean(np.abs(out_z.mean(axis=0)))),
+        "std_delta": float(np.mean(np.abs(out_z.std(axis=0) - 1.0))),
+    }
+
 
 
 class TestDivergenceEstimators:
@@ -118,6 +148,27 @@ class TestDivergenceEstimators:
             scalar_divergences(np.zeros((0, 2)), np.zeros((4, 2)))
         with pytest.raises(ValueError):
             scalar_divergences(np.zeros((4, 2)), np.zeros((4, 3)))
+
+    def test_prepared_reference_is_bit_equal_to_the_unhoisted_estimator(self):
+        rng = np.random.default_rng(6)
+        ref = rng.normal(size=(512, 15)).astype(np.float32)
+        # Dimension 0 of the reference is +-1 in equal parts: mean 0 and
+        # std 1 exactly, so model values land *on* the shared edges.
+        ref[:, 0] = np.tile([-1.0, 1.0], 256)
+        on_edges = np.repeat(fixed_bin_edges()[None, :], 15, axis=0).T
+        models = [
+            rng.normal(size=(512, 15)).astype(np.float32),  # in span
+            (rng.normal(size=(300, 15)) * 9.0 + 3.0).astype(np.float32),  # out
+            np.full((64, 15), 1e6, dtype=np.float32),  # collapsed, far out
+            on_edges.astype(np.float32),
+            np.concatenate([on_edges, -on_edges * 1.5]),
+        ]
+        prepared = prepare_reference(ref)  # once, for every model
+        for model in models:
+            want = unhoisted_divergences(ref, model)
+            for result in (prepared.score(model), scalar_divergences(ref, model)):
+                assert {k: result.value(k) for k in want} == want
+                assert (result.n_reference, result.n_model) == (512, len(model))
 
     def test_degenerate_reference_dim_does_not_nan(self):
         ref = np.zeros((128, 1))  # zero variance
@@ -293,6 +344,14 @@ class TestQualityProbe:
         for name, values in payload["divergence"].items():
             for key in ("kl", "js", "hellinger", "mean_delta", "std_delta"):
                 assert math.isfinite(values[key])
+        # The payload is what scoring each trainer on its own computes.
+        params, scalars = probe._reference()
+        assert payload["divergence"] == {
+            t.name: unhoisted_divergences(
+                scalars, t.surrogate.predict_outputs(params)[0]
+            )
+            for t in driver.trainers
+        }
         summary = probe.summary(winner=sorted(payload["divergence"])[0])
         assert summary["metric"] == "js"
         assert summary["round"] == 2

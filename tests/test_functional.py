@@ -115,3 +115,34 @@ def test_elu_monotone_property(x):
     xs = np.sort(x)
     ys = F.elu(xs)
     assert np.all(np.diff(ys) >= -1e-12)
+
+
+def _masked_sigmoid(x):
+    """The gather/scatter formulation ``F.sigmoid`` replaced: the
+    reference it must stay bit-equal to."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_bit_equal_to_masked_formulation(dtype):
+    tiny = np.finfo(dtype).tiny
+    edge = [0.0, -0.0, 88.0, -88.0, 1e4, -1e4, tiny, -tiny, tiny / 4, -tiny / 4]
+    rng = np.random.default_rng(0)
+    cases = [
+        np.array(edge, dtype=dtype),
+        (rng.normal(size=(64, 5)) * 6).astype(dtype),
+        (rng.normal(size=(33, 1)) * 40).astype(dtype),
+        rng.uniform(-1e-3, 1e-3, size=257).astype(dtype),
+    ]
+    with np.errstate(over="raise"):
+        for x in cases:
+            before = x.copy()
+            y = F.sigmoid(x)
+            assert y.dtype == dtype and y.shape == x.shape
+            np.testing.assert_array_equal(y, _masked_sigmoid(x))
+            np.testing.assert_array_equal(x, before)

@@ -228,3 +228,32 @@ class TestModel:
         out = m.forward({"in": x}, outputs=["out"])["out"]
         grads = m.backward({"out": np.ones_like(out)})
         assert grads["in"].shape == x.shape
+
+    @pytest.mark.parametrize("training", [False, True])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{}, {"batchnorm": True}, {"dropout": 0.3}, {"batchnorm": True, "dropout": 0.3}],
+        ids=["plain", "batchnorm", "dropout", "batchnorm+dropout"],
+    )
+    def test_through_backward_is_input_gradients_only(self, kwargs, training):
+        """A frozen model's pass: input gradients bit-equal to a normal
+        backward, and no ``Weight.grad`` read, written or zeroed."""
+        m1 = mlp("net", RNGS(3), 6, [16, 16], 4, activation="leaky_relu", **kwargs)
+        m2 = mlp("net", RNGS(3), 6, [16, 16], 4, activation="leaky_relu", **kwargs)
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(12, 6)).astype(np.float32)
+        g = rng.normal(size=(12, 4)).astype(np.float32)
+        for w in m2.weights:
+            w.grad[...] = 7.0  # stale contents: through must leave them be
+
+        m1.forward({"in": x}, outputs=["out"], training=training)
+        m2.forward({"in": x}, outputs=["out"], training=training)
+        normal = m1.backward({"out": g})
+        through = m2.backward({"out": g}, through=True)
+
+        np.testing.assert_array_equal(through["in"], normal["in"])
+        assert any(np.abs(w.grad).sum() > 0 for w in m1.trainable_weights)
+        assert all(np.all(w.grad == 7.0) for w in m2.weights)
+        # The pass consumed the forward cache like any backward does.
+        with pytest.raises(GraphError):
+            m2.backward({"out": g}, through=True)

@@ -297,6 +297,163 @@ class TestStreamingCampaign:
         assert set(cal) == {"params", "scalars", "images"}
 
 
+class _RecordingChannel(IngestChannel):
+    """Keeps every sample offered, in publish order."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.offered = []
+
+    def publish(self, s):
+        self.offered.append(s)
+        return super().publish(s)
+
+
+class _OneTaskPublisher:
+    """The pump the block pump replaced, kept as the reference: pull one
+    completion, simulate that one row, publish it, look at the pause."""
+
+    def __init__(self, campaign: StreamingCampaign):
+        self.campaign = campaign
+        times = [campaign.task_seconds] * campaign.config.n_samples
+        self._iter = EnsembleWorkflow(campaign.pool).iter_results(times)
+        self.produced, self.exhausted, self.clock_s = 0, False, 0.0
+
+    def pump(self, channel, max_tasks):
+        if self.exhausted:
+            return 0
+        published = 0
+        while published < max_tasks and not channel.paused:
+            result = next(self._iter, None)
+            if result is None:
+                self.exhausted = True
+                break
+            self.clock_s = max(self.clock_s, result.end_time)
+            row = self.campaign.task_sample([result.task_id])
+            channel.publish(
+                StreamedSample(
+                    sample_id=result.task_id,
+                    fields={k: v[0] for k, v in row.items()},
+                    produced_at=result.end_time,
+                    task_id=result.task_id,
+                )
+            )
+            self.produced += 1
+            published += 1
+        return published
+
+
+def _assert_same_publishes(got, want):
+    assert [(s.sample_id, s.task_id, s.produced_at) for s in got] == [
+        (s.sample_id, s.task_id, s.produced_at) for s in want
+    ]
+    for a, b in zip(got, want):
+        assert sorted(a.fields) == sorted(b.fields)
+        for name in a.fields:
+            assert a.fields[name].dtype == b.fields[name].dtype
+            np.testing.assert_array_equal(a.fields[name], b.fields[name])
+
+
+class TestBlockPumpEquivalence:
+    """Simulating by the block changes when rows are computed, never what
+    is published: same samples, stamps and counters as one task at a
+    time, after every step of the same pump/evict/drain script."""
+
+    def _run(self, campaign_parts, n, script, **channel_kwargs):
+        def channel():
+            return _RecordingChannel(
+                high_watermark=0.75, low_watermark=0.25, **channel_kwargs
+            )
+
+        block, ch_a = campaign_parts(n=n)[0], channel()
+        single, ch_b = _OneTaskPublisher(campaign_parts(n=n)[0]), channel()
+        simulate, block.blocks = block.task_sample, []
+
+        def task_sample(task_ids):
+            block.blocks.append(len(task_ids))
+            return simulate(task_ids)
+
+        block.task_sample = task_sample
+        for step, op in enumerate(script):
+            if op == "drain":
+                assert len(ch_a.drain()) == len(ch_b.drain())
+            elif op == "evict":
+                assert ch_a.evict_stale(block.clock_s) == ch_b.evict_stale(
+                    single.clock_s
+                )
+            else:
+                assert block.pump(ch_a, op) == single.pump(ch_b, op), step
+            assert (block.produced, block.clock_s, block.exhausted) == (
+                single.produced, single.clock_s, single.exhausted
+            ), step
+            assert ch_a.paused == ch_b.paused and ch_a.depth == ch_b.depth
+        _assert_same_publishes(ch_a.offered, ch_b.offered)
+        assert vars(ch_a.stats) == vars(ch_b.stats)
+        # One simulator call per pump at most, never one per task.
+        assert len(block.blocks) <= sum(op not in ("drain", "evict") for op in script)
+        return block, ch_a
+
+    def test_pause_cuts_a_block_short(self, campaign_parts):
+        # The default StreamingSpec geometry: capacity 64, watermark 0.75,
+        # so a 64-task pump is cut at 48 and 16 simulated rows wait.
+        script = [64, 64, "drain", 64, 8, "drain", 8, 64, "drain", 64]
+        block, channel = self._run(campaign_parts, 400, script, capacity=64)
+        assert not block.exhausted and len(channel.offered) == 192
+        # 64 rows were simulated for the first pump, 48 published: the
+        # other 16 waited, and at most one pump's budget ever does.
+        assert block.blocks[0] == 64
+        assert 0 < sum(block.blocks) - block.produced <= 64
+
+    def test_with_max_age_eviction(self, campaign_parts):
+        script = [24, "evict", "drain", 24, 24, "evict", "drain", 5, "evict", 24]
+        _, channel = self._run(
+            campaign_parts, 200, script, capacity=32, max_age_s=90.0
+        )
+        assert channel.stats.stale_evictions > 0
+
+    def test_design_not_a_multiple_of_the_block(self, campaign_parts):
+        script = [32, "drain"] * 5
+        block, channel = self._run(campaign_parts, 100, script, capacity=64)
+        assert block.exhausted and len(channel.offered) == 100
+        assert block.pump(channel, 32) == 0
+
+    def test_across_source_replay(self, campaign_parts):
+        def beats(source, n):
+            for _ in range(n):
+                source.poll()
+
+        def recording(parts):
+            campaign, channel, universe, _ = parts
+            rec = _RecordingChannel(
+                channel.capacity, high_watermark=0.75, low_watermark=0.25,
+                max_age_s=channel.max_age_s,
+            )
+            return rec, StreamingSource(campaign, rec, universe, tasks_per_poll=40)
+
+        geometry = dict(n=400, capacity=32, max_age_s=600.0)
+        ch_a, source_a = recording(campaign_parts(**geometry))
+        beats(source_a, 4)
+        checkpoint = source_a.state()
+        beats(source_a, 3)
+
+        ch_b, source_b = recording(campaign_parts(**geometry))
+        source_b.replay(checkpoint)
+        beats(source_b, 3)
+        _assert_same_publishes(ch_b.offered, ch_a.offered)
+
+        # ... and both are what one task at a time publishes.
+        single = _OneTaskPublisher(source_a.campaign)
+        ch_c = _RecordingChannel(
+            32, high_watermark=0.75, low_watermark=0.25, max_age_s=600.0
+        )
+        for _ in range(7):
+            single.pump(ch_c, 40)
+            ch_c.evict_stale(single.clock_s)
+            ch_c.drain()
+        _assert_same_publishes(ch_a.offered, ch_c.offered)
+        assert source_a.campaign.clock_s == single.clock_s
+
+
 class TestStreamingSource:
     def test_prime_then_poll_grows_universe(self, campaign_parts):
         _, channel, universe, source = campaign_parts()
@@ -477,3 +634,50 @@ class TestStreamingExperiment:
         assert len(report.rows) == 2  # one ingest row per round
         with pytest.raises(ValueError):
             streaming.run(rounds=1)
+
+    def test_batch_plans_per_round_do_not_grow_with_the_universe(
+        self, monkeypatch
+    ):
+        """Every poll suspends every pipeline, and every resume re-draws
+        the in-flight epoch — but only the steps a round trains on become
+        BatchPlans, so a round's count is steps x trainers however large
+        the universe has grown (a count, not a timing)."""
+        from repro.core import LtfbConfig, LtfbDriver
+        from repro.datastore import reader as reader_module
+        from repro.experiments.streaming import StreamingSpec, build_streaming_run
+        from repro.telemetry import Callback
+
+        built, batch_plan = [], reader_module.BatchPlan
+
+        def counted_batch_plan(**fields):
+            built.append(fields["step_index"])
+            return batch_plan(**fields)
+
+        monkeypatch.setattr(reader_module, "BatchPlan", counted_batch_plan)
+        k, steps, rounds = 2, 2, 40
+        spec = StreamingSpec(
+            seed=3, k=k, n_design=64 + 16 * (rounds + 4), prime_samples=64,
+            tasks_per_poll=16, channel_capacity=32, max_age_s=960.0,
+            calibration=32, ae_epochs=1, batch_size=8,
+        )
+        setup = build_streaming_run(spec)
+
+        class PerRound(Callback):
+            counts, sizes = [], []
+
+            def on_round_end(self, event):
+                PerRound.counts.append(len(built))
+                PerRound.sizes.append(setup.universe.size)
+
+        built.clear()
+        LtfbDriver(
+            setup.trainers,
+            setup.rngs.generator("pairing"),
+            LtfbConfig(steps_per_round=steps, rounds=rounds),
+            eval_batch=setup.eval_batch,
+            source=setup.source,
+        ).run(callbacks=[PerRound()])
+
+        per_round = np.diff([0] + PerRound.counts)
+        assert PerRound.sizes[-1] >= 8 * PerRound.sizes[0]  # the universe grew
+        assert per_round.tolist() == [k * steps] * rounds

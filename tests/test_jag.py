@@ -146,6 +146,44 @@ class TestSimulator:
             JagSimulator(image_size=8, views=0)
 
 
+class TestRowIndependence:
+    """A stated contract of :mod:`repro.jag`: a row's state, images and
+    scalars do not depend on which other rows share its call.  The
+    streaming campaign simulates by the block on the strength of it."""
+
+    @pytest.mark.parametrize("size,views,channels", [(8, 2, 2), (16, 3, 4)])
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        method=st.sampled_from(["uniform", "lhs", "lattice"]),
+        n=st.integers(1, 48),
+        data=st.data(),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_block_rows_equal_single_rows(
+        self, size, views, channels, seed, method, n, data
+    ):
+        sim = JagSimulator(image_size=size, views=views, channels=channels)
+        x = design_points(n, NUM_PARAMS, method=method, seed=seed).astype(np.float32)
+        offset = data.draw(st.integers(0, n - 1))
+        block = data.draw(st.integers(1, n - offset))
+        rows = x[offset : offset + block]
+
+        state = sim.run(rows)
+        images = sim.render_images(state)
+        scalars = derive_scalars(state, images)
+        for i in range(block):
+            one_state = sim.run(rows[i : i + 1])
+            one_images = sim.render_images(one_state)
+            for name, column in vars(state).items():
+                np.testing.assert_array_equal(
+                    column[i : i + 1], getattr(one_state, name), err_msg=name
+                )
+            np.testing.assert_array_equal(images[i : i + 1], one_images)
+            np.testing.assert_array_equal(
+                scalars[i : i + 1], derive_scalars(one_state, one_images)
+            )
+
+
 class TestPostprocess:
     def test_scalar_block_shape_and_names(self):
         sim = JagSimulator(image_size=8)

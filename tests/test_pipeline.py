@@ -49,6 +49,16 @@ def make_reader(seed=0, n=N):
     return ArrayReader(fields, np.arange(n), np.random.default_rng(seed))
 
 
+def make_replanned_rng(state):
+    """Where one ``plan_epoch`` from a plan cursor's RNG state leaves the
+    generator (what construction-time planning followed by ``restore``
+    left it at, too: ``restore`` rewinds before it re-plans)."""
+    rng = np.random.default_rng(0)
+    rng.bit_generator.state = state["epoch_rng_state"]
+    rng.permutation(N)
+    return rng.bit_generator.state
+
+
 def assert_batches_equal(a, b):
     assert len(a) == len(b)
     for mb_a, mb_b in zip(a, b):
@@ -109,6 +119,41 @@ class TestPlanEpoch:
         plan = reader.plan_epoch(BATCH)
         via_plan = [reader.materialize(bp) for bp in plan]
         assert_batches_equal(via_epoch, via_plan)
+
+
+    @pytest.mark.parametrize("drop_last", [True, False])
+    @pytest.mark.parametrize("batch", [8, 7, 64, 50])
+    def test_lazy_batches_equal_the_eager_tuple(self, batch, drop_last):
+        """The plan cuts a BatchPlan per access; what comes out is what the
+        eagerly built tuple held."""
+        from repro.datastore.reader import BatchPlan
+
+        reader = make_reader(seed=4)
+        reader.sample_ids = reader.sample_ids[::-1].copy()  # ids != positions
+        plan = reader.plan_epoch(batch, drop_last)
+        perm = np.random.default_rng(4).permutation(N)
+        steps = reader.steps_per_epoch(batch, drop_last)
+        eager = tuple(
+            BatchPlan(
+                epoch_index=0,
+                step_index=s,
+                sample_ids=reader.sample_ids[perm[s * batch : (s + 1) * batch]],
+                is_last=(s == steps - 1),
+            )
+            for s in range(steps)
+        )
+        assert len(plan) == len(eager) == len(plan.batches)
+        for got in (plan.batches, tuple(plan), [plan[s] for s in range(steps)]):
+            for a, b in zip(got, eager, strict=True):
+                assert (a.epoch_index, a.step_index, a.is_last) == (
+                    b.epoch_index, b.step_index, b.is_last
+                )
+                assert a.sample_ids.dtype == b.sample_ids.dtype
+                np.testing.assert_array_equal(a.sample_ids, b.sample_ids)
+        with pytest.raises(IndexError):
+            plan[steps]
+        with pytest.raises(IndexError):
+            plan[-1]
 
 
 class TestEpochsCompleted:
@@ -203,6 +248,59 @@ class TestBatchPipeline:
         assert prefetching.depth == 3
         with pytest.raises(ValueError):
             build_pipeline(make_reader(), BATCH, prefetch_depth=-1)
+
+
+    @pytest.mark.parametrize("depth", [0, 2])
+    def test_plans_are_drawn_on_use_and_once_per_resume(self, depth):
+        """A fresh pipeline has drawn nothing; a suspend -> resume costs
+        exactly one plan and leaves the reader RNG where an uninterrupted
+        run has it."""
+
+        def counting_reader():
+            reader = make_reader(seed=9)
+            reader.plans = 0
+            plan_epoch = reader.plan_epoch
+
+            def counted(*args, **kwargs):
+                reader.plans += 1
+                return plan_epoch(*args, **kwargs)
+
+            reader.plan_epoch = counted
+            return reader
+
+        straight = counting_reader()
+        rng_at_birth = straight._rng.bit_generator.state
+        pipe = build_pipeline(straight, BATCH, prefetch_depth=depth)
+        assert straight.plans == 0
+        assert straight._rng.bit_generator.state == rng_at_birth
+        want = [pipe.next_batch() for _ in range(3)]
+        state = pipe.state()
+        pipe.close()  # suspend: the cursor is all that survives
+        # (a prefetch thread may have planned ahead of the delivered epoch)
+        assert straight.plans >= 1 and state["epoch_index"] == 0
+
+        resumed = counting_reader()
+        pipe = build_pipeline(resumed, BATCH, prefetch_depth=depth)
+        assert resumed.plans == 0
+        pipe.restore(state)
+        assert resumed.plans == 1
+        assert resumed._rng.bit_generator.state == make_replanned_rng(state)
+        got = [pipe.next_batch() for _ in range(5)]  # rest of epoch 0
+        pipe.close()
+        if depth == 0:
+            assert resumed.plans == 1
+
+        reference = build_pipeline(make_reader(seed=9), BATCH)
+        assert_batches_equal(
+            want + got, [reference.next_batch() for _ in range(8)]
+        )
+
+    def test_state_of_an_unused_pipeline_is_the_first_plan(self):
+        reader = make_reader(seed=2)
+        rng_at_birth = reader._rng.bit_generator.state
+        state = build_pipeline(reader, BATCH).state()
+        assert (state["epoch_index"], state["next_step"]) == (0, 0)
+        assert state["epoch_rng_state"] == rng_at_birth
 
 
 class TestPrefetchingReader:
