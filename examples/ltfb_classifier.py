@@ -91,9 +91,9 @@ def main() -> None:
             for _ in range(STEPS):
                 take = brng.choice(silo, size=min(BATCH, silo.size), replace=False)
                 model.zero_grad()
-                out = model.forward({"in": train_x[take]}, outputs=["out"])["out"]
-                _, grad = losses.softmax_cross_entropy(out, train_y[take])
-                model.backward({"out": grad})
+                out, tape = model.forward({"in": train_x[take]}, outputs=["out"])
+                _, grad = losses.softmax_cross_entropy(out["out"], train_y[take])
+                model.backward({"out": grad}, tape)
                 opt.step(model.trainable_weights)
 
         # Tournament: pair, exchange full models, keep the better one on

@@ -2,19 +2,17 @@
 
 NumPy/BLAS kernels release the GIL for the matrix products that dominate
 a train step, so threads genuinely overlap trainer work without any
-state shipping.  The one piece of *shared mutable* state between trainers
-is the frozen autoencoder: its weights never change, but its layer graph
-caches activations and gradient buffers during ``train_step`` (the
-generator phase back-propagates *through* the frozen decoder).  The
-backend therefore gives every trainer a private deep copy of the
-autoencoder for the duration of the run — weight-identical, so results
-are bit-identical to serial — and restores the shared instance on
-release.
+state shipping.  The one object every trainer shares is the frozen
+autoencoder, and the threads share it as the serial backend does: a
+forward pass hands its backward context to the caller as a tape instead
+of leaving it on the layers, and the frozen model only ever runs with
+``training=False`` and ``backward(..., through=True)``, which draw no
+random numbers, update no running statistics and write no
+``Weight.grad``.  Concurrent trainers therefore only read it.
 """
 
 from __future__ import annotations
 
-import copy
 import os
 from concurrent.futures import ThreadPoolExecutor, as_completed
 
@@ -46,7 +44,6 @@ class ThreadBackend(ExecutionBackend):
             raise ValueError("max_workers must be positive")
         self._max_workers = max_workers
         self._pool: ThreadPoolExecutor | None = None
-        self._shared_autoencoders: list = []
 
     @property
     def num_workers(self) -> int:
@@ -61,21 +58,14 @@ class ThreadBackend(ExecutionBackend):
         self._pool = ThreadPoolExecutor(
             max_workers=n, thread_name_prefix="repro-exec"
         )
-        self._shared_autoencoders = []
         for i, t in enumerate(self._trainers):
             t.backend_name = self.name
             t.worker_index = self.worker_of(i, n)
-            # Privatize the (weight-frozen but cache-mutable) autoencoder.
-            self._shared_autoencoders.append(t.surrogate.autoencoder)
-            t.surrogate.autoencoder = copy.deepcopy(t.surrogate.autoencoder)
 
     def _on_release(self) -> None:
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-        for t, shared in zip(self._trainers, self._shared_autoencoders):
-            t.surrogate.autoencoder = shared
-        self._shared_autoencoders = []
 
     def train_round(
         self, round_index: int, n_steps: int

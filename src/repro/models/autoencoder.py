@@ -127,7 +127,7 @@ class MultimodalAutoencoder:
         )
 
     def decode(self, latent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        out = self.decoder.forward(
+        out, _ = self.decoder.forward(
             {"latent": latent}, outputs=["scalars_out", "images_out"]
         )
         return out["scalars_out"], out["images_out"]
@@ -143,11 +143,11 @@ class MultimodalAutoencoder:
         self.encoder.zero_grad()
         self.decoder.zero_grad()
 
-        latent = self.encoder.forward(
+        enc, enc_tape = self.encoder.forward(
             {"scalars": scalars, "images": images}, outputs=["latent"], training=True
-        )["latent"]
-        dec = self.decoder.forward(
-            {"latent": latent},
+        )
+        dec, dec_tape = self.decoder.forward(
+            {"latent": enc["latent"]},
             outputs=["scalars_out", "images_out"],
             training=True,
         )
@@ -157,9 +157,10 @@ class MultimodalAutoencoder:
             {
                 "scalars_out": s_grad,
                 "images_out": self.image_loss_weight * i_grad,
-            }
+            },
+            dec_tape,
         )["latent"]
-        self.encoder.backward({"latent": latent_grad})
+        self.encoder.backward({"latent": latent_grad}, enc_tape)
         optimizer.step(self.encoder.trainable_weights + self.decoder.trainable_weights)
         self.generation += 1
         return {
@@ -302,8 +303,8 @@ class BatchLatent:
     def __init__(self) -> None:
         self._scalars: np.ndarray | None = None
         self._images: np.ndarray | None = None
-        #: autoencoder -> (generation, latents); weak, so an execution
-        #: backend's short-lived autoencoder replicas are not kept alive.
+        #: autoencoder -> (generation, latents); weak, so a dropped
+        #: autoencoder is not kept alive by a cache of its outputs.
         self._encoded: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
     def __reduce__(self):

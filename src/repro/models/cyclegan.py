@@ -361,19 +361,19 @@ class ICFSurrogate:
         # --- discriminator phase ---
         self.discriminator.zero_grad()
         latent_fake = self.predict_latent(params)  # detached from F
-        real_logits = self.discriminator.forward(
+        real, tape = self.discriminator.forward(
             {"in": latent_real}, outputs=["out"], training=True
-        )["out"]
-        real_targets = np.full((n, 1), 1.0 - cfg.label_smoothing, dtype=np.float32)
-        d_real, g_real = losses.bce_with_logits(real_logits, real_targets)
-        self.discriminator.backward({"out": g_real})
-        fake_logits = self.discriminator.forward(
-            {"in": latent_fake}, outputs=["out"], training=True
-        )["out"]
-        d_fake, g_fake = losses.bce_with_logits(
-            fake_logits, np.zeros((n, 1), dtype=np.float32)
         )
-        self.discriminator.backward({"out": g_fake})
+        real_targets = np.full((n, 1), 1.0 - cfg.label_smoothing, dtype=np.float32)
+        d_real, g_real = losses.bce_with_logits(real["out"], real_targets)
+        self.discriminator.backward({"out": g_real}, tape)
+        fake, tape = self.discriminator.forward(
+            {"in": latent_fake}, outputs=["out"], training=True
+        )
+        d_fake, g_fake = losses.bce_with_logits(
+            fake["out"], np.zeros((n, 1), dtype=np.float32)
+        )
+        self.discriminator.backward({"out": g_fake}, tape)
         disc_optimizer.step(self.discriminator.trainable_weights)
 
         # --- generator phase ---
@@ -382,10 +382,11 @@ class ICFSurrogate:
         self.forward_model.zero_grad()
         self.inverse_model.zero_grad()
 
-        z = self.forward_model.forward(
+        out, z_tape = self.forward_model.forward(
             {"in": params}, outputs=["out"], training=True
-        )["out"]
-        dec = self.autoencoder.decoder.forward(
+        )
+        z = out["out"]
+        dec, tape = self.autoencoder.decoder.forward(
             {"latent": z}, outputs=["scalars_out", "images_out"], training=False
         )
         fid_s, grad_s = losses.mean_absolute_error(dec["scalars_out"], scalars)
@@ -395,28 +396,29 @@ class ICFSurrogate:
                 "scalars_out": cfg.w_scalar_fidelity * grad_s,
                 "images_out": cfg.w_image_fidelity * grad_i,
             },
+            tape,
             through=True,
         )["latent"]
 
-        adv_logits = self.discriminator.forward(
+        adv_logits, tape = self.discriminator.forward(
             {"in": z}, outputs=["out"], training=False
-        )["out"]
+        )
         adv, grad_adv = losses.bce_with_logits(
-            adv_logits, np.ones((n, 1), dtype=np.float32)
+            adv_logits["out"], np.ones((n, 1), dtype=np.float32)
         )
         z_grad = z_grad + self.discriminator.backward(
-            {"out": cfg.w_adversarial * grad_adv}, through=True
+            {"out": cfg.w_adversarial * grad_adv}, tape, through=True
         )["in"]
 
-        x_hat = self.inverse_model.forward(
+        x_hat, tape = self.inverse_model.forward(
             {"in": z}, outputs=["out"], training=True
-        )["out"]
-        cyc, grad_cyc = losses.mean_absolute_error(x_hat, params)
+        )
+        cyc, grad_cyc = losses.mean_absolute_error(x_hat["out"], params)
         z_grad = z_grad + self.inverse_model.backward(
-            {"out": cfg.w_cycle * grad_cyc}
+            {"out": cfg.w_cycle * grad_cyc}, tape
         )["in"]
 
-        self.forward_model.backward({"out": z_grad})
+        self.forward_model.backward({"out": z_grad}, z_tape)
         gen_optimizer.step(
             self.forward_model.trainable_weights + self.inverse_model.trainable_weights
         )

@@ -11,7 +11,7 @@ reproduces that architecture in pure NumPy:
 - :mod:`repro.tensorlib.layers` — layer classes with explicit
   ``forward``/``backward`` and per-sample FLOP accounting.
 - :mod:`repro.tensorlib.graph` — the layer DAG (networkx-backed) with
-  topological forward/backward execution.
+  topological forward/backward execution over a caller-owned ``Tape``.
 - :mod:`repro.tensorlib.model` — ``Model``: graph + weights + state
   (de)serialization for LTFB model exchange.
 - :mod:`repro.tensorlib.optimizers` — SGD / Momentum / Adam with

@@ -16,11 +16,23 @@ import numpy as np
 from repro.tensorlib.layers import Input, Layer
 from repro.utils.rng import RngFactory
 
-__all__ = ["LayerGraph", "GraphError"]
+__all__ = ["LayerGraph", "GraphError", "Tape"]
 
 
 class GraphError(RuntimeError):
     """Raised for structural problems: duplicate names, cycles, bad wiring."""
+
+
+class Tape:
+    """One forward pass's backward context, owned by the caller: each
+    layer's cache, each activation's shape (for the gradient-shape check)
+    and whether a :meth:`LayerGraph.backward` has consumed it."""
+
+    def __init__(self, graph: "LayerGraph") -> None:
+        self.graph = graph
+        self.caches: dict[str, dict] = {}
+        self.shapes: dict[str, tuple[int, ...]] = {}
+        self.consumed = False
 
 
 class LayerGraph:
@@ -39,9 +51,11 @@ class LayerGraph:
     >>> _ = g.add(L.FullyConnected("fc", units=3), parents=["x"])
     >>> g.build(RngFactory(0))
     >>> import numpy as np
-    >>> out = g.forward({"x": np.zeros((2, 5))}, outputs=["fc"])
+    >>> out, tape = g.forward({"x": np.zeros((2, 5))}, outputs=["fc"])
     >>> out["fc"].shape
     (2, 3)
+    >>> g.backward({"fc": np.ones((2, 3))}, tape)["x"].shape
+    (2, 5)
     """
 
     def __init__(self) -> None:
@@ -49,7 +63,6 @@ class LayerGraph:
         self._layers: dict[str, Layer] = {}
         self._parents: dict[str, list[str]] = {}
         self._order: list[str] | None = None
-        self._activations: dict[str, np.ndarray] = {}
 
     # -- construction --------------------------------------------------------
 
@@ -98,9 +111,6 @@ class LayerGraph:
     def input_names(self) -> list[str]:
         return [n for n, l in self._layers.items() if isinstance(l, Input)]
 
-    def parents_of(self, name: str) -> list[str]:
-        return list(self._parents[name])
-
     def topological_order(self) -> list[str]:
         if self._order is None:
             raise GraphError("graph not built")
@@ -124,8 +134,8 @@ class LayerGraph:
         feeds: Mapping[str, np.ndarray],
         outputs: Iterable[str] | None = None,
         training: bool = False,
-    ) -> dict[str, np.ndarray]:
-        """Run a forward pass.
+    ) -> tuple[dict[str, np.ndarray], Tape]:
+        """Run a forward pass; returns ``(activations, tape for backward)``.
 
         Parameters
         ----------
@@ -149,6 +159,7 @@ class LayerGraph:
         if len(batch_sizes) > 1:
             raise GraphError(f"inconsistent batch sizes in feeds: {batch_sizes}")
 
+        tape = Tape(self)
         acts: dict[str, np.ndarray] = {}
         for name in order:
             layer = self._layers[name]
@@ -156,23 +167,20 @@ class LayerGraph:
                 acts[name] = layer.feed(feeds[name])
             else:
                 parent_acts = [acts[p] for p in self._parents[name]]
-                acts[name] = layer.forward(parent_acts, training)
-        self._activations = acts
+                acts[name], tape.caches[name] = layer.forward(parent_acts, training)
+            tape.shapes[name] = acts[name].shape
 
         if outputs is None:
-            sinks = [n for n in order if self._nx.out_degree(n) == 0]
-            outputs = sinks
-        result = {}
-        for n in outputs:
-            if n not in acts:
-                raise GraphError(f"unknown output layer {n!r}")
-            result[n] = acts[n]
-        return result
+            outputs = [n for n in order if self._nx.out_degree(n) == 0]
+        try:
+            return {n: acts[n] for n in outputs}, tape
+        except KeyError as e:
+            raise GraphError(f"unknown output layer {e.args[0]!r}") from None
 
     def backward(
-        self, output_grads: Mapping[str, np.ndarray], through: bool = False
+        self, output_grads: Mapping[str, np.ndarray], tape: Tape, through: bool = False
     ) -> dict[str, np.ndarray]:
-        """Back-propagate from the given output gradients.
+        """Back-propagate the output gradients through ``tape``'s pass (once).
 
         Accumulates weight gradients in every traversed layer and returns
         the gradients that reach each ``Input`` layer (useful when chaining
@@ -181,33 +189,30 @@ class LayerGraph:
         graph: the same input gradients, no weight gradient computed or
         touched.
         """
-        if not self._activations:
-            raise GraphError("backward() without a preceding forward()")
+        if tape.graph is not self:
+            raise GraphError("backward() with a tape from another graph's forward()")
+        if tape.consumed:
+            raise GraphError("backward() with a tape a backward() already consumed")
         order = self.topological_order()
         grads: dict[str, np.ndarray] = {}
         for name, g in output_grads.items():
-            if name not in self._activations:
-                raise GraphError(f"gradient for layer {name!r} not in last forward")
-            expected = self._activations[name].shape
+            if name not in tape.shapes:
+                raise GraphError(f"gradient for layer {name!r} the tape did not run")
             g = np.asarray(g, dtype=np.float32)
-            if g.shape != expected:
+            if g.shape != tape.shapes[name]:
                 raise GraphError(
-                    f"gradient shape {g.shape} != activation shape {expected} "
-                    f"for layer {name!r}"
+                    f"gradient shape {g.shape} != activation shape "
+                    f"{tape.shapes[name]} for layer {name!r}"
                 )
             grads[name] = g.copy()
 
+        tape.consumed = True
         for name in reversed(order):
             layer = self._layers[name]
             if isinstance(layer, Input) or name not in grads:
                 continue
-            parent_grads = layer.backward(grads.pop(name), through)
+            parent_grads = layer.backward(grads.pop(name), tape.caches.pop(name), through)
             for p, pg in zip(self._parents[name], parent_grads):
-                if p in grads:
-                    grads[p] = grads[p] + pg
-                else:
-                    grads[p] = pg
+                grads[p] = grads[p] + pg if p in grads else pg
 
-        input_grads = {n: grads[n] for n in self.input_names if n in grads}
-        self._activations = {}
-        return input_grads
+        return {n: grads[n] for n in self.input_names if n in grads}

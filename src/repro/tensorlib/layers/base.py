@@ -5,9 +5,9 @@ Mirrors LBANN's design where a model is a DAG of tensor operations
 
 - is *built* once against the per-sample shapes of its inputs (deferred
   shape inference, so architectures compose without manual bookkeeping),
-- caches whatever the most recent forward pass needs for its backward pass
-  (models are executed by exactly one trainer at a time, so a single slot
-  suffices),
+- hands what its backward pass needs (a *cache*) to the caller with each
+  forward output and keeps no per-call state, so any number of passes
+  through one layer may interleave or run concurrently,
 - *accumulates* weight gradients into :class:`~repro.tensorlib.weights.Weight`
   buffers and returns gradients with respect to each of its inputs,
 - reports per-sample forward FLOPs so the cluster performance model
@@ -53,7 +53,6 @@ class Layer(ABC):
         self.input_shapes: list[Shape] | None = None
         self.output_shape: Shape | None = None
         self._rng: np.random.Generator | None = None
-        self._cache: dict | None = None
 
     # -- construction ------------------------------------------------------
 
@@ -85,32 +84,28 @@ class Layer(ABC):
 
     # -- execution ----------------------------------------------------------
 
-    def forward(self, inputs: list[np.ndarray], training: bool) -> np.ndarray:
-        """Run the layer on a batch, caching context for backward."""
+    def forward(
+        self, inputs: list[np.ndarray], training: bool
+    ) -> tuple[np.ndarray, dict]:
+        """Run the layer on a batch; returns ``(output, cache for backward)``."""
         if not self.built:
             raise LayerBuildError(f"layer {self.name!r} used before build()")
         self._check_batch_shapes(inputs)
-        self._cache = {}
-        return self._forward(inputs, training, self._cache)
+        cache: dict = {}
+        return self._forward(inputs, training, cache), cache
 
     def backward(
-        self, grad_output: np.ndarray, through: bool = False
+        self, grad_output: np.ndarray, cache: dict, through: bool = False
     ) -> list[np.ndarray]:
-        """Propagate a gradient through the layer.
-
-        Accumulates weight gradients as a side effect and returns one
-        gradient array per input, aligned with the forward ``inputs`` list.
-        With ``through`` (a frozen layer the gradient merely passes
-        through) the weight gradients are neither computed nor touched;
-        the returned input gradients are the same.
-        """
-        if self._cache is None:
+        """Propagate a gradient through the layer given its forward's
+        ``cache``: returns one gradient per forward input and accumulates
+        weight gradients, unless ``through`` (a frozen layer the gradient
+        merely passes through: same input gradients, weights untouched)."""
+        if cache is None:
             raise RuntimeError(
-                f"backward() on layer {self.name!r} without a preceding forward()"
+                f"backward() on layer {self.name!r} without a forward() cache"
             )
-        grads = self._backward(grad_output, self._cache, through)
-        self._cache = None
-        return grads
+        return self._backward(grad_output, cache, through)
 
     # -- cost accounting ----------------------------------------------------
 

@@ -14,8 +14,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.tensorlib.graph import LayerGraph
-from repro.tensorlib.layers import Activation, BatchNorm, Dropout, FullyConnected, Input
+from repro.tensorlib.graph import LayerGraph, Tape
+from repro.tensorlib.layers import Activation, BatchNorm, Dropout, FullyConnected
+from repro.tensorlib.layers import Identity, Input
 from repro.tensorlib.weights import Weight
 from repro.utils.rng import RngFactory
 from repro.utils.serialization import nbytes_of, pack_arrays, unpack_arrays
@@ -61,19 +62,19 @@ class Model:
         feeds: Mapping[str, np.ndarray],
         outputs: Iterable[str] | None = None,
         training: bool = False,
-    ) -> dict[str, np.ndarray]:
+    ) -> tuple[dict[str, np.ndarray], Tape]:
         return self.graph.forward(feeds, outputs=outputs, training=training)
 
     def backward(
-        self, output_grads: Mapping[str, np.ndarray], through: bool = False
+        self, output_grads: Mapping[str, np.ndarray], tape: Tape, through: bool = False
     ) -> dict[str, np.ndarray]:
         """Back-propagate; with ``through`` only the input gradients are
         computed (a frozen model: no ``Weight.grad`` is written)."""
-        return self.graph.backward(output_grads, through)
+        return self.graph.backward(output_grads, tape, through)
 
     def predict(self, feeds: Mapping[str, np.ndarray], output: str) -> np.ndarray:
-        """Convenience single-output inference call."""
-        return self.forward(feeds, outputs=[output], training=False)[output]
+        """Convenience single-output inference call (the tape is dropped)."""
+        return self.forward(feeds, outputs=[output], training=False)[0][output]
 
     # -- weights and state -------------------------------------------------
 
@@ -191,7 +192,5 @@ def mlp(
     if output_activation is not None:
         g.add(Activation(output_name, output_activation), parents=[prev])
     else:
-        from repro.tensorlib.layers import Identity
-
         g.add(Identity(output_name), parents=[prev])
     return Model(name, g, rngs)

@@ -27,9 +27,9 @@ def build_model(seed=0):
 
 def grads_of(model, x, t):
     model.zero_grad()
-    out = model.forward({"in": x}, outputs=["out"])["out"]
-    _, g = losses.mean_squared_error(out, t)
-    model.backward({"out": g})
+    out, tape = model.forward({"in": x}, outputs=["out"])
+    _, g = losses.mean_squared_error(out["out"], t)
+    model.backward({"out": g}, tape)
     return {w.name: w.grad.copy() for w in model.trainable_weights}
 
 

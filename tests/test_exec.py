@@ -138,15 +138,17 @@ class TestLifecycle:
             backend.bind(trainers, TelemetryHub())
         assert not backend._bound
 
-    def test_thread_backend_restores_shared_autoencoder(
+    def test_thread_backend_shares_autoencoder(
         self, tiny_dataset, tiny_spec, tiny_autoencoder
     ):
         trainers = _population(tiny_dataset, tiny_spec, tiny_autoencoder, k=2)
         backend = ThreadBackend(max_workers=2)
         backend.bind(trainers, TelemetryHub())
-        # Bound: each trainer trains against a private replica.
-        replicas = {id(t.surrogate.autoencoder) for t in trainers}
-        assert len(replicas) == 2 and id(tiny_autoencoder) not in replicas
+        # Bound, and after a round: every trainer trains against the one
+        # shared frozen autoencoder -- no private replicas.
+        assert all(t.surrogate.autoencoder is tiny_autoencoder for t in trainers)
+        backend.train_round(0, 2)
+        assert all(t.surrogate.autoencoder is tiny_autoencoder for t in trainers)
         backend.release()
         assert all(t.surrogate.autoencoder is tiny_autoencoder for t in trainers)
 

@@ -36,7 +36,7 @@ def numeric_input_grad(layer, inputs, grad_out, idx, training=False, eps=1e-3):
     """Central-difference d(sum(out * grad_out))/d(inputs[idx])."""
 
     def objective():
-        return float(np.sum(layer.forward(inputs, training) * grad_out))
+        return float(np.sum(layer.forward(inputs, training)[0] * grad_out))
 
     x = inputs[idx]
     grad = np.zeros_like(x, dtype=np.float64)
@@ -66,7 +66,7 @@ class TestBuildProtocol:
     def test_backward_without_forward_fails(self):
         fc = build(FullyConnected("fc", 4), (3,))
         with pytest.raises(RuntimeError):
-            fc.backward(np.zeros((2, 4)))
+            fc.backward(np.zeros((2, 4)), None)
 
     def test_wrong_input_count(self):
         fc = build(FullyConnected("fc", 4), (3,))
@@ -107,7 +107,7 @@ class TestFullyConnected:
         fc = build(FullyConnected("fc", 2, kernel_init=NormalInit(0, 1)), (3,))
         x = RNG(1).normal(size=(4, 3)).astype(np.float32)
         expected = x @ fc.kernel.value + fc.bias.value
-        np.testing.assert_allclose(fc.forward([x], False), expected, rtol=1e-6)
+        np.testing.assert_allclose(fc.forward([x], False)[0], expected, rtol=1e-6)
 
     def test_no_bias(self):
         fc = build(FullyConnected("fc", 2, use_bias=False), (3,))
@@ -118,8 +118,8 @@ class TestFullyConnected:
         fc = build(FullyConnected("fc", 3), (4,))
         x = RNG(2).normal(size=(5, 4)).astype(np.float64)
         g = RNG(3).normal(size=(5, 3)).astype(np.float64)
-        fc.forward([x.astype(np.float32)], False)
-        fc.backward(g.astype(np.float32))
+        _, cache = fc.forward([x.astype(np.float32)], False)
+        fc.backward(g.astype(np.float32), cache)
         np.testing.assert_allclose(fc.kernel.grad, x.T @ g, rtol=1e-4, atol=1e-5)
         np.testing.assert_allclose(fc.bias.grad, g.sum(axis=0), rtol=1e-4, atol=1e-5)
 
@@ -127,17 +127,17 @@ class TestFullyConnected:
         fc = build(FullyConnected("fc", 3), (4,))
         x = RNG(2).normal(size=(5, 4)).astype(np.float32)
         g = RNG(3).normal(size=(5, 3)).astype(np.float32)
-        fc.forward([x], False)
-        analytic = fc.backward(g)[0]
+        _, cache = fc.forward([x], False)
+        analytic = fc.backward(g, cache)[0]
         numeric = numeric_input_grad(fc, [x], g, 0)
         np.testing.assert_allclose(analytic, numeric, rtol=1e-2, atol=1e-3)
 
     def test_flattens_high_rank_input(self):
         fc = build(FullyConnected("fc", 4), (2, 3))
         x = RNG(0).normal(size=(5, 2, 3)).astype(np.float32)
-        out = fc.forward([x], False)
+        out, cache = fc.forward([x], False)
         assert out.shape == (5, 4)
-        dx = fc.backward(np.ones((5, 4), dtype=np.float32))[0]
+        dx = fc.backward(np.ones((5, 4), dtype=np.float32), cache)[0]
         assert dx.shape == (5, 2, 3)
 
     def test_flops(self):
@@ -148,11 +148,9 @@ class TestFullyConnected:
         fc = build(FullyConnected("fc", 2), (2,))
         x = np.ones((1, 2), dtype=np.float32)
         g = np.ones((1, 2), dtype=np.float32)
-        fc.forward([x], False)
-        fc.backward(g)
+        fc.backward(g, fc.forward([x], False)[1])
         first = fc.kernel.grad.copy()
-        fc.forward([x], False)
-        fc.backward(g)
+        fc.backward(g, fc.forward([x], False)[1])
         np.testing.assert_allclose(fc.kernel.grad, 2 * first)
 
     def test_invalid_units(self):
@@ -167,8 +165,8 @@ class TestActivationLayer:
         x = RNG(4).normal(size=(3, 6)).astype(np.float32)
         x = np.where(np.abs(x) < 1e-2, 0.5, x).astype(np.float32)
         g = RNG(5).normal(size=(3, 6)).astype(np.float32)
-        act.forward([x], False)
-        analytic = act.backward(g)[0]
+        _, cache = act.forward([x], False)
+        analytic = act.backward(g, cache)[0]
         numeric = numeric_input_grad(act, [x], g, 0)
         np.testing.assert_allclose(analytic, numeric, rtol=1e-2, atol=1e-3)
 
@@ -183,12 +181,12 @@ class TestDropout:
     def test_eval_mode_is_identity(self):
         d = build(Dropout("d", 0.5), (10,))
         x = RNG(0).normal(size=(4, 10)).astype(np.float32)
-        np.testing.assert_array_equal(d.forward([x], training=False), x)
+        np.testing.assert_array_equal(d.forward([x], training=False)[0], x)
 
     def test_training_mode_scales_kept_units(self):
         d = build(Dropout("d", 0.5), (1000,))
         x = np.ones((2, 1000), dtype=np.float32)
-        y = d.forward([x], training=True)
+        y, _ = d.forward([x], training=True)
         kept = y != 0
         assert 0.3 < kept.mean() < 0.7
         np.testing.assert_allclose(y[kept], 2.0)
@@ -196,14 +194,14 @@ class TestDropout:
     def test_backward_uses_same_mask(self):
         d = build(Dropout("d", 0.5), (50,))
         x = np.ones((3, 50), dtype=np.float32)
-        y = d.forward([x], training=True)
-        dx = d.backward(np.ones_like(y))[0]
+        y, cache = d.forward([x], training=True)
+        dx = d.backward(np.ones_like(y), cache)[0]
         np.testing.assert_array_equal((dx != 0), (y != 0))
 
     def test_rate_zero_passthrough_in_training(self):
         d = build(Dropout("d", 0.0), (5,))
         x = RNG(0).normal(size=(2, 5)).astype(np.float32)
-        np.testing.assert_array_equal(d.forward([x], training=True), x)
+        np.testing.assert_array_equal(d.forward([x], training=True)[0], x)
 
     def test_invalid_rate(self):
         with pytest.raises(ValueError):
@@ -214,7 +212,7 @@ class TestBatchNorm:
     def test_training_normalizes_batch(self):
         bn = build(BatchNorm("bn"), (8,))
         x = (RNG(1).normal(size=(256, 8)) * 3 + 5).astype(np.float32)
-        y = bn.forward([x], training=True)
+        y, _ = bn.forward([x], training=True)
         np.testing.assert_allclose(y.mean(axis=0), 0.0, atol=1e-4)
         np.testing.assert_allclose(y.std(axis=0), 1.0, atol=1e-2)
 
@@ -222,24 +220,24 @@ class TestBatchNorm:
         bn = build(BatchNorm("bn", momentum=0.5), (4,))
         x = (RNG(2).normal(size=(64, 4)) + 10).astype(np.float32)
         for _ in range(20):
-            bn.forward([x], training=True)
-            bn.backward(np.zeros((64, 4), dtype=np.float32))
+            _, cache = bn.forward([x], training=True)
+            bn.backward(np.zeros((64, 4), dtype=np.float32), cache)
         assert bn.running_mean.value.mean() == pytest.approx(10.0, abs=0.5)
-        y_eval = bn.forward([x], training=False)
-        bn.backward(np.zeros_like(y_eval))
+        y_eval, cache = bn.forward([x], training=False)
+        bn.backward(np.zeros_like(y_eval), cache)
         np.testing.assert_allclose(y_eval.mean(axis=0), 0.0, atol=0.2)
 
     def test_input_gradient_numeric_training(self):
         bn = build(BatchNorm("bn"), (3,))
         x = RNG(3).normal(size=(6, 3)).astype(np.float32)
         g = RNG(4).normal(size=(6, 3)).astype(np.float32)
-        bn.forward([x], training=True)
-        analytic = bn.backward(g)[0]
+        _, cache = bn.forward([x], training=True)
+        analytic = bn.backward(g, cache)[0]
 
         def objective(xp):
-            out = bn.forward([xp], training=True)
+            out, cache = bn.forward([xp], training=True)
             val = float(np.sum(out * g))
-            bn.backward(np.zeros_like(g))
+            bn.backward(np.zeros_like(g), cache)
             return val
 
         eps = 1e-3
@@ -261,8 +259,8 @@ class TestBatchNorm:
         bn = build(BatchNorm("bn"), (2,))
         x = RNG(5).normal(size=(16, 2)).astype(np.float32)
         g = np.ones((16, 2), dtype=np.float32)
-        bn.forward([x], training=True)
-        bn.backward(g)
+        _, cache = bn.forward([x], training=True)
+        bn.backward(g, cache)
         np.testing.assert_allclose(bn.beta.grad, g.sum(axis=0))
 
     def test_nontrainable_running_stats(self):
@@ -280,9 +278,9 @@ class TestPlumbingLayers:
         c = build(Concatenation("c"), (2,), (3,))
         a = np.ones((4, 2), dtype=np.float32)
         b = 2 * np.ones((4, 3), dtype=np.float32)
-        out = c.forward([a, b], False)
+        out, cache = c.forward([a, b], False)
         assert out.shape == (4, 5)
-        ga, gb = c.backward(np.arange(20, dtype=np.float32).reshape(4, 5))
+        ga, gb = c.backward(np.arange(20, dtype=np.float32).reshape(4, 5), cache)
         assert ga.shape == (4, 2) and gb.shape == (4, 3)
         np.testing.assert_array_equal(ga[0], [0, 1])
         np.testing.assert_array_equal(gb[0], [2, 3, 4])
@@ -290,9 +288,9 @@ class TestPlumbingLayers:
     def test_slice_forward_backward(self):
         s = build(Slice("s", 1, 3), (5,))
         x = np.arange(10, dtype=np.float32).reshape(2, 5)
-        out = s.forward([x], False)
+        out, cache = s.forward([x], False)
         np.testing.assert_array_equal(out, [[1, 2], [6, 7]])
-        dx = s.backward(np.ones((2, 2), dtype=np.float32))[0]
+        dx = s.backward(np.ones((2, 2), dtype=np.float32), cache)[0]
         np.testing.assert_array_equal(dx, [[0, 1, 1, 0, 0]] * 2)
 
     def test_slice_out_of_bounds(self):
@@ -306,8 +304,9 @@ class TestPlumbingLayers:
     def test_sum_forward_backward(self):
         s = build(Sum("s"), (3,), (3,), (3,))
         xs = [np.full((2, 3), i, dtype=np.float32) for i in range(3)]
-        np.testing.assert_array_equal(s.forward(xs, False), np.full((2, 3), 3.0))
-        grads = s.backward(np.ones((2, 3), dtype=np.float32))
+        out, cache = s.forward(xs, False)
+        np.testing.assert_array_equal(out, np.full((2, 3), 3.0))
+        grads = s.backward(np.ones((2, 3), dtype=np.float32), cache)
         assert len(grads) == 3
 
     def test_sum_shape_mismatch(self):
@@ -317,5 +316,6 @@ class TestPlumbingLayers:
     def test_identity_passthrough(self):
         ident = build(Identity("i"), (7,))
         x = RNG(0).normal(size=(2, 7)).astype(np.float32)
-        np.testing.assert_array_equal(ident.forward([x], False), x)
-        np.testing.assert_array_equal(ident.backward(x)[0], x)
+        out, cache = ident.forward([x], False)
+        np.testing.assert_array_equal(out, x)
+        np.testing.assert_array_equal(ident.backward(x, cache)[0], x)
