@@ -28,8 +28,8 @@ from repro.models import small_config
 from repro.telemetry import (
     JsonlTraceWriter,
     LiveAggregator,
+    MetricsCollector,
     ProgressLogger,
-    WallClockTimer,
 )
 from repro.utils.rng import RngFactory
 
@@ -71,9 +71,9 @@ def main() -> None:
         )
 
     # 4. Tournament training, observed through the telemetry subsystem:
-    #    a progress line per round, per-phase wall-clock totals, the
-    #    run-health rules (alerts print under the round they fire in),
-    #    and a JSONL trace you can inspect afterwards with
+    #    a progress line per round, per-phase wall-clock totals (from the
+    #    metrics collector), the run-health rules (alerts print under the
+    #    round they fire in), and a JSONL trace you can inspect afterwards with
     #    `python -m repro.experiments trace-report quickstart_trace.jsonl`.
     print("running LTFB (8 rounds x 20 steps) ...")
     driver = LtfbDriver(
@@ -82,18 +82,23 @@ def main() -> None:
         LtfbConfig(steps_per_round=20, rounds=8),
         eval_batch=val_batch,
     )
-    timer = WallClockTimer()
+    metrics = MetricsCollector()
     history = driver.run(
         callbacks=[
             ProgressLogger(),
-            timer,
+            metrics,
             LiveAggregator(),
             JsonlTraceWriter("quickstart_trace.jsonl"),
         ]
     )
     print(f"tournament adoption rate: {history.adoption_rate():.2f}")
     print(f"  run healthy: {history.healthy}")
-    print(f"  {timer.summary()}")
+    phases = ", ".join(
+        f"{phase} {seconds.value:.3f}s"
+        for phase, seconds in metrics.phase_seconds.items()
+    )
+    rounds = metrics.registry["repro_rounds_total"].value
+    print(f"  wall clock over {rounds} rounds: {phases}")
     print("  telemetry trace written to quickstart_trace.jsonl")
 
     best, loss = driver.best_trainer()

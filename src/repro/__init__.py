@@ -15,7 +15,7 @@ Subpackages (see README.md for the architecture overview):
 - :mod:`repro.core` — trainers, the LTFB tournament algorithm, baselines,
   checkpointing, and the paper-scale performance models;
 - :mod:`repro.telemetry` — event-bus + callback observability layer
-  (LBANN-callback analog): trace writing, timing, counters;
+  (LBANN-callback analog): trace writing, progress, metrics;
 - :mod:`repro.exec` — pluggable execution backends (serial/thread/
   process) deciding where population trainer work runs;
 - :mod:`repro.experiments` — one harness per paper figure, plus ablations.
@@ -48,11 +48,10 @@ from repro.jag import JagDatasetConfig, JagSchema, generate_dataset
 from repro.models import ICFSurrogate, MultimodalAutoencoder, SurrogateConfig
 from repro.telemetry import (
     Callback,
-    CounterAggregator,
     JsonlTraceWriter,
+    MetricsCollector,
     ProgressLogger,
     TelemetryHub,
-    WallClockTimer,
 )
 from repro.utils.rng import RngFactory
 
@@ -86,8 +85,7 @@ __all__ = [
     "TelemetryHub",
     "Callback",
     "JsonlTraceWriter",
-    "WallClockTimer",
-    "CounterAggregator",
+    "MetricsCollector",
     "ProgressLogger",
     "__version__",
 ]

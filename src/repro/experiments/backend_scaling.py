@@ -42,7 +42,7 @@ from repro.experiments.common import (
     observability_callbacks,
 )
 from repro.jag.dataset import JagDatasetConfig, generate_dataset
-from repro.telemetry import CounterAggregator, WallClockTimer
+from repro.telemetry import MetricsCollector
 from repro.utils.rng import RngFactory
 
 __all__ = ["run", "SPEEDUP_FLOOR"]
@@ -155,8 +155,7 @@ def run(
                 eval_batch=eval_batch,
                 backend=backend,
             )
-            timer = WallClockTimer()
-            counters = CounterAggregator()
+            counters = MetricsCollector()
             extra = observability_callbacks(
                 f"backends/{backend_name}-d{depth}",
                 trace_out=trace_out,
@@ -166,9 +165,9 @@ def run(
                 flight_recorder=flight_recorder,
             )
             t0 = time.perf_counter()
-            history = driver.run(callbacks=[timer, counters, *extra])
+            history = driver.run(callbacks=[counters, *extra])
             total_s = time.perf_counter() - t0
-            train_s = timer.totals["train"]
+            train_s = counters.phase_seconds["train"].value
             note_health(report, history)
 
             if serial_history is None:
@@ -186,8 +185,8 @@ def run(
                 depth=depth,
                 workers=backend.num_workers,
                 train_s=train_s,
-                stall_s=counters.fetch_stall_s,
-                overlap_s=counters.fetch_overlap_s,
+                stall_s=counters.stall.sum,
+                overlap_s=float(counters.fetch_overlap.value),
                 total_s=total_s,
                 train_speedup=speedup,
                 identical=identical,

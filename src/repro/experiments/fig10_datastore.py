@@ -39,7 +39,7 @@ from repro.datastore.store import InsufficientMemoryError
 from repro.experiments.common import ExperimentReport
 from repro.jag.dataset import JagDatasetConfig, generate_dataset, paper_schema, small_schema
 from repro.models.cyclegan import SurrogateArchitecture, paper_architecture
-from repro.telemetry import CounterAggregator, TelemetryHub
+from repro.telemetry import MetricsCollector, TelemetryHub
 
 __all__ = ["run", "PAPER_BENEFIT_1GPU", "PAPER_BENEFIT_16GPU", "PAPER_PRELOAD_VS_DYNAMIC"]
 
@@ -85,7 +85,7 @@ def _measure_overlap(
             "preload",
         )
         hub = TelemetryHub()
-        counters = CounterAggregator()
+        counters = MetricsCollector()
         hub.subscribe(counters)
         pipeline = build_pipeline(reader, batch, prefetch_depth=depth)
         pipeline.telemetry = hub
@@ -97,7 +97,7 @@ def _measure_overlap(
                     acc = acc @ work
         finally:
             pipeline.close()
-        results[depth] = (counters.fetch_stall_s, counters.fetch_overlap_s)
+        results[depth] = (counters.stall.sum, float(counters.fetch_overlap.value))
     return results
 
 

@@ -10,13 +10,14 @@ Shipped callbacks:
 
 - :class:`JsonlTraceWriter` — one JSON object per event to a trace file
   (versioned header first; pass ``spans=True`` to enable span tracing);
-- :class:`WallClockTimer` — per-phase timings (train/tournament/exchange/eval);
-- :class:`CounterAggregator` — exchange bytes, adoption rate, datastore
-  local/remote fetch counters, checkpoint traffic;
 - :class:`ProgressLogger` — one line per round (plus in-line health
   alerts);
-- :class:`MetricsCollector` — counters/gauges/histograms with p50/p95/p99
-  summaries, exportable as JSON or Prometheus text;
+- :class:`MetricsCollector` — the run's one cumulative fold, live and
+  offline (:func:`collect_metrics`, behind ``trace-report``): per-phase
+  wall clock, steps, tournaments and adoptions, exchange traffic,
+  datastore locality, data-path stall vs. overlap (per worker too),
+  checkpoint and ingest counters, as counters/gauges/histograms with
+  p50/p95/p99 summaries, exportable as JSON or Prometheus text;
 - :class:`ResourceSampler` — periodic peak-RSS/CPU readings of the driver
   process as ``resource_sample`` events (execution backends add worker
   samples), surfaced in ``trace-report``, metrics gauges, and Perfetto
@@ -40,14 +41,14 @@ JSON.
 Typical use::
 
     from repro.telemetry import (JsonlTraceWriter, LiveAggregator,
-                                 MetricsCollector, WallClockTimer)
+                                 MetricsCollector)
 
-    timer, metrics = WallClockTimer(), MetricsCollector()
+    metrics = MetricsCollector()
     history = driver.run(callbacks=[
-        JsonlTraceWriter("trace.jsonl", spans=True), timer, metrics,
+        JsonlTraceWriter("trace.jsonl", spans=True), metrics,
         LiveAggregator(),
     ])
-    print(timer.summary(), history.healthy)
+    print(metrics.phase_seconds["train"].value, history.healthy)
     print(metrics.registry.render_prometheus())
 
 and afterwards ``python -m repro.experiments trace-report trace.jsonl``
@@ -56,10 +57,8 @@ and afterwards ``python -m repro.experiments trace-report trace.jsonl``
 
 from repro.telemetry.callbacks import (
     Callback,
-    CounterAggregator,
     JsonlTraceWriter,
     ProgressLogger,
-    WallClockTimer,
 )
 from repro.telemetry.events import (
     ALERT,
@@ -102,7 +101,6 @@ from repro.telemetry.report import (
     load_trace,
     load_trace_header,
     render_trace_report,
-    summarize_trace,
     trace_summary,
 )
 from repro.telemetry.resources import (
@@ -132,8 +130,6 @@ __all__ = [
     "RESOURCE_SAMPLE",
     "Callback",
     "JsonlTraceWriter",
-    "WallClockTimer",
-    "CounterAggregator",
     "ProgressLogger",
     "Tracer",
     "Span",
@@ -159,7 +155,6 @@ __all__ = [
     "export_chrome_trace",
     "load_trace",
     "load_trace_header",
-    "summarize_trace",
     "render_trace_report",
     "trace_summary",
 ]

@@ -1,4 +1,4 @@
-"""Shipped callbacks: trace writing, timing, counting, progress.
+"""Shipped callbacks: trace writing and progress.
 
 The :class:`Callback` base mirrors LBANN's callback architecture: a
 callback subscribes to a :class:`~repro.telemetry.events.TelemetryHub`
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 import sys
 from typing import IO, Mapping
 
@@ -22,8 +23,6 @@ from repro.telemetry.events import TelemetryEvent
 __all__ = [
     "Callback",
     "JsonlTraceWriter",
-    "WallClockTimer",
-    "CounterAggregator",
     "ProgressLogger",
 ]
 
@@ -190,232 +189,6 @@ class JsonlTraceWriter(Callback):
         self.close()
 
 
-class WallClockTimer(Callback):
-    """Accumulates per-phase wall-clock time across a run.
-
-    Phases are the driver's round structure — ``train``, ``tournament``,
-    ``exchange``, ``eval`` — read from ``round_end`` events (the driver
-    times each phase with a monotonic clock; this callback only sums).
-    """
-
-    PHASES = ("train", "tournament", "exchange", "eval")
-
-    def __init__(self) -> None:
-        self.totals: dict[str, float] = {phase: 0.0 for phase in self.PHASES}
-        self.rounds = 0
-
-    def on_round_end(self, event: TelemetryEvent) -> None:
-        for phase in self.PHASES:
-            self.totals[phase] += float(event.payload.get(f"{phase}_s", 0.0))
-        self.rounds += 1
-
-    @property
-    def total_s(self) -> float:
-        return sum(self.totals.values())
-
-    def summary(self) -> str:
-        parts = [f"{phase} {self.totals[phase]:.3f}s" for phase in self.PHASES]
-        return (
-            f"wall clock over {self.rounds} rounds: "
-            + ", ".join(parts)
-            + f" (total {self.total_s:.3f}s)"
-        )
-
-
-class CounterAggregator(Callback):
-    """Folds event streams into run-level counters.
-
-    Tracks exchange traffic, tournament adoption, datastore local/remote
-    fetch counters (the per-batch deltas the store emits — the same fields
-    as :class:`~repro.datastore.store.DataStoreStats`), checkpoint
-    traffic, and step totals.  A store that is not wired to a hub can be
-    folded in after the fact with :meth:`fold_datastore`.
-
-    ``worker_train_s`` attributes trainer compute to execution-backend
-    workers: per ``step_end`` event, ``elapsed_s`` is added under the key
-    ``"{backend}/worker{worker}"``.  Events from traces written before
-    backend attribution existed carry neither field and are skipped.
-
-    ``fetch_stall`` events are folded the same way: per delivered batch,
-    ``stall_s`` (the consumer's wait) accumulates into ``fetch_stall_s``
-    and the hidden remainder ``max(0, materialize_s - stall_s)`` into
-    ``fetch_overlap_s``, with per-worker breakdowns in ``worker_stall_s``
-    / ``worker_overlap_s`` when the event carries backend attribution.
-
-    ``latent_hits`` / ``latent_misses`` sum the ``step_end`` fields of the
-    same names: training-batch rows whose real latents came from the
-    trainer's per-sample table vs. rows that went through the frozen
-    encoder (absent from older traces; counted as zero).
-    """
-
-    def __init__(self) -> None:
-        self.exchange_bytes = 0
-        self.exchanges = 0
-        self.tournaments = 0
-        self.adoptions = 0
-        self.steps = 0
-        self.rounds = 0
-        self.worker_train_s: dict[str, float] = {}
-        self.fetch_stalls = 0
-        self.fetch_stall_s = 0.0
-        self.fetch_overlap_s = 0.0
-        self.worker_stall_s: dict[str, float] = {}
-        self.worker_overlap_s: dict[str, float] = {}
-        self.prefetch_fills = 0
-        self._prefetch_fill_sum = 0
-        self.latent_hits = 0
-        self.latent_misses = 0
-        self.datastore_local_fetches = 0
-        self.datastore_remote_fetches = 0
-        self.datastore_local_bytes = 0
-        self.datastore_remote_bytes = 0
-        self.checkpoint_saves = 0
-        self.checkpoint_restores = 0
-        self.checkpoint_bytes = 0
-
-    # -- per-type folds ------------------------------------------------------
-
-    def on_exchange(self, event: TelemetryEvent) -> None:
-        self.exchanges += 1
-        self.exchange_bytes += int(event.payload["nbytes"])
-
-    def on_tournament(self, event: TelemetryEvent) -> None:
-        self.tournaments += 1
-        if event.payload["adopted"]:
-            self.adoptions += 1
-
-    def on_step_end(self, event: TelemetryEvent) -> None:
-        self.steps += int(event.payload["steps"])
-        self.latent_hits += int(event.payload.get("latent_hits", 0))
-        self.latent_misses += int(event.payload.get("latent_misses", 0))
-        backend = event.payload.get("backend")
-        worker = event.payload.get("worker")
-        if backend is not None and worker is not None:
-            key = f"{backend}/worker{int(worker)}"
-            self.worker_train_s[key] = (
-                self.worker_train_s.get(key, 0.0)
-                + float(event.payload.get("elapsed_s", 0.0))
-            )
-
-    def on_round_end(self, event: TelemetryEvent) -> None:
-        self.rounds += 1
-
-    def on_fetch_stall(self, event: TelemetryEvent) -> None:
-        p = event.payload
-        stall = float(p["stall_s"])
-        overlap = max(0.0, float(p.get("materialize_s", stall)) - stall)
-        self.fetch_stalls += 1
-        self.fetch_stall_s += stall
-        self.fetch_overlap_s += overlap
-        backend = p.get("backend")
-        worker = p.get("worker")
-        if backend is not None and worker is not None:
-            key = f"{backend}/worker{int(worker)}"
-            self.worker_stall_s[key] = self.worker_stall_s.get(key, 0.0) + stall
-            self.worker_overlap_s[key] = (
-                self.worker_overlap_s.get(key, 0.0) + overlap
-            )
-
-    def on_prefetch_fill(self, event: TelemetryEvent) -> None:
-        self.prefetch_fills += 1
-        self._prefetch_fill_sum += int(event.payload.get("fill", 0))
-
-    def on_datastore_fetch(self, event: TelemetryEvent) -> None:
-        p = event.payload
-        self.datastore_local_fetches += int(p["local_fetches"])
-        self.datastore_remote_fetches += int(p["remote_fetches"])
-        self.datastore_local_bytes += int(p["local_bytes"])
-        self.datastore_remote_bytes += int(p["remote_bytes"])
-
-    def on_checkpoint(self, event: TelemetryEvent) -> None:
-        if event.payload["action"] == "save":
-            self.checkpoint_saves += 1
-        else:
-            self.checkpoint_restores += 1
-        self.checkpoint_bytes += int(event.payload["nbytes"])
-
-    def fold_datastore(self, stats) -> None:
-        """Add a :class:`~repro.datastore.store.DataStoreStats` snapshot
-        (for stores that ran without a telemetry hub)."""
-        self.datastore_local_fetches += stats.local_fetches
-        self.datastore_remote_fetches += stats.remote_fetches
-        self.datastore_local_bytes += stats.local_bytes
-        self.datastore_remote_bytes += stats.remote_bytes
-
-    # -- derived -------------------------------------------------------------
-
-    def adoption_rate(self) -> float:
-        """Fraction of tournament decisions that adopted the partner."""
-        return self.adoptions / self.tournaments if self.tournaments else 0.0
-
-    def remote_fetch_fraction(self) -> float:
-        total = self.datastore_local_fetches + self.datastore_remote_fetches
-        return self.datastore_remote_fetches / total if total else 0.0
-
-    def latent_hit_ratio(self) -> float:
-        """Share of training-batch rows served from the latent table."""
-        total = self.latent_hits + self.latent_misses
-        return self.latent_hits / total if total else 0.0
-
-    def mean_prefetch_fill(self) -> float:
-        """Mean prefetch-queue occupancy observed at fill time."""
-        return (
-            self._prefetch_fill_sum / self.prefetch_fills
-            if self.prefetch_fills
-            else 0.0
-        )
-
-    def summary(self) -> dict[str, float]:
-        """All counters plus derived rates, as one flat dict.
-
-        Per-worker train seconds appear flattened as
-        ``train_s[<backend>/worker<N>]`` keys (absent when no ``step_end``
-        event carried backend attribution); per-worker data-path stall and
-        overlap appear as ``stall_s[...]`` / ``overlap_s[...]`` keys."""
-        per_worker = {
-            f"train_s[{key}]": seconds
-            for key, seconds in sorted(self.worker_train_s.items())
-        }
-        per_worker.update(
-            {
-                f"stall_s[{key}]": seconds
-                for key, seconds in sorted(self.worker_stall_s.items())
-            }
-        )
-        per_worker.update(
-            {
-                f"overlap_s[{key}]": seconds
-                for key, seconds in sorted(self.worker_overlap_s.items())
-            }
-        )
-        return {
-            "rounds": self.rounds,
-            "steps": self.steps,
-            "exchanges": self.exchanges,
-            "exchange_bytes": self.exchange_bytes,
-            "tournaments": self.tournaments,
-            "adoptions": self.adoptions,
-            "adoption_rate": self.adoption_rate(),
-            "fetch_stalls": self.fetch_stalls,
-            "fetch_stall_s": self.fetch_stall_s,
-            "fetch_overlap_s": self.fetch_overlap_s,
-            "prefetch_fills": self.prefetch_fills,
-            "prefetch_mean_fill": self.mean_prefetch_fill(),
-            "latent_hits": self.latent_hits,
-            "latent_misses": self.latent_misses,
-            "latent_hit_ratio": self.latent_hit_ratio(),
-            "datastore_local_fetches": self.datastore_local_fetches,
-            "datastore_remote_fetches": self.datastore_remote_fetches,
-            "datastore_local_bytes": self.datastore_local_bytes,
-            "datastore_remote_bytes": self.datastore_remote_bytes,
-            "remote_fetch_fraction": self.remote_fetch_fraction(),
-            "checkpoint_saves": self.checkpoint_saves,
-            "checkpoint_restores": self.checkpoint_restores,
-            "checkpoint_bytes": self.checkpoint_bytes,
-            **per_worker,
-        }
-
-
 class ProgressLogger(Callback):
     """Prints a one-line summary per round (the ``on_round`` replacement).
 
@@ -459,7 +232,12 @@ class ProgressLogger(Callback):
         )
         line = f"[{label}] train {event.payload['train_s']:.2f}s"
         if self._last_eval is not None:
-            best = min(m[self.metric] for m in self._last_eval.values())
+            # NaN compares false both ways, so min() over it would depend
+            # on trainer order: only finite readings compete.
+            values = [m[self.metric] for m in self._last_eval.values()]
+            best = min(
+                (v for v in values if math.isfinite(v)), default=math.nan
+            )
             line += f", best {self.metric} {best:.4f}"
             self._last_eval = None
         print(line, file=self.stream)

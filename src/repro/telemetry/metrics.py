@@ -1,22 +1,25 @@
 """Metrics registry: counters, gauges, fixed-bucket histograms.
 
-Aggregates (PR 1's :class:`~repro.telemetry.callbacks.CounterAggregator`)
-answer "how much, in total"; this module answers "how is it
-*distributed*" — the p50/p95/p99 of step time, fetch latency, stall
-duration, and exchange bytes that the paper's scaling analysis turns on.
-Histograms use fixed buckets (Prometheus-style): observation is O(log
-buckets) with bounded memory, percentiles are linearly interpolated
-within the bucket that crosses the target rank and clamped to the
-observed min/max, so tails are never reported outside the data.
+The registry answers both "how much, in total" (counters, gauges) and
+"how is it *distributed*" — the p50/p95/p99 of step time, fetch latency,
+stall duration, and exchange bytes that the paper's scaling analysis
+turns on.  Histograms use fixed buckets (Prometheus-style): observation
+is O(log buckets) with bounded memory, percentiles are linearly
+interpolated within the bucket that crosses the target rank and clamped
+to the observed min/max, so tails are never reported outside the data.
 
-Two consumers:
+:class:`MetricsCollector` is the run's one cumulative fold of the event
+stream, the same code live and offline:
 
-- :class:`MetricsCollector` — a live :class:`~repro.telemetry.callbacks.
-  Callback` folding the event stream into a :class:`MetricsRegistry`
-  (attach to ``driver.run``; export with :meth:`MetricsRegistry.to_json`
-  or :meth:`MetricsRegistry.render_prometheus`);
-- :func:`collect_metrics` — the offline equivalent over a loaded trace,
-  used by ``trace-report`` for its percentile tables.
+- live, as a :class:`~repro.telemetry.callbacks.Callback` attached to
+  ``driver.run`` (export with :meth:`MetricsRegistry.to_json` or
+  :meth:`MetricsRegistry.render_prometheus`);
+- offline, as :func:`collect_metrics` over a loaded trace — the fold
+  ``trace-report`` derives its phase, counter, ingest and percentile
+  sections from.
+
+The windowed, alerting fold is the live plane's
+(:class:`~repro.telemetry.live.LiveAggregator`), beside this one.
 """
 
 from __future__ import annotations
@@ -367,18 +370,75 @@ class MetricsRegistry:
 
 
 class MetricsCollector(Callback):
-    """A callback folding the event stream into a :class:`MetricsRegistry`.
+    """A callback folding the event stream into a :class:`MetricsRegistry`
+    — the run's one cumulative fold, live and offline
+    (:func:`collect_metrics`).
 
-    Registers the subsystem's standard metrics up front (so exports have
-    stable shape even before events arrive): step-time / fetch-latency /
-    stall-duration / exchange-bytes histograms plus run counters.  One
-    collector can observe several runs — the experiments CLI shares one
-    across every figure it trains for a campaign-level snapshot.
+    Registers its metrics up front, so exports have stable shape even
+    before events arrive; per-worker seconds (``backend=``, ``worker=``)
+    appear with the first event carrying backend attribution, which
+    traces older than it lack.  One collector can observe several runs —
+    the experiments CLI shares one across every figure it trains for a
+    campaign-level snapshot.
     """
+
+    #: The driver's round phases, read from ``round_end`` events (the
+    #: driver times each with a monotonic clock; this fold only sums).
+    PHASES = ("train", "tournament", "exchange", "eval")
+
+    #: Counters that count an event type (``field`` None) or sum one
+    #: integer payload field of it: ``(event type, field, name, help)``.
+    COUNTED = (
+        ("round_end", None, "repro_rounds_total", "rounds completed"),
+        ("tournament", None, "repro_tournaments_total",
+         "pairwise tournament judgements"),
+        ("exchange", "nbytes", "repro_exchange_bytes_total",
+         "total model-exchange traffic"),
+        ("step_end", "latent_hits", "repro_latent_hits_total",
+         "training-batch rows gathered from the per-sample latent table"),
+        ("step_end", "latent_misses", "repro_latent_misses_total",
+         "training-batch rows encoded by the frozen encoder"),
+        ("datastore_fetch", "local_fetches",
+         "repro_datastore_local_fetches_total",
+         "store fetches served from the local shard"),
+        ("datastore_fetch", "remote_fetches",
+         "repro_datastore_remote_fetches_total",
+         "store fetches served from a remote shard"),
+        ("datastore_fetch", "local_bytes", "repro_datastore_local_bytes_total",
+         "bytes of store fetches served from the local shard"),
+        ("datastore_fetch", "remote_bytes",
+         "repro_datastore_remote_bytes_total",
+         "bytes of store fetches served from a remote shard"),
+        ("checkpoint", "nbytes", "repro_checkpoint_bytes_total",
+         "checkpoint traffic, saves plus restores"),
+        ("prefetch_fill", None, "repro_prefetch_fills_total",
+         "background prefetch fills"),
+        ("prefetch_fill", "fill", "repro_prefetch_fill_slots_total",
+         "prefetch queue occupancy summed over background fills"),
+        ("alert", None, "repro_health_warnings_total",
+         "run-health alerts fired"),
+        # Streaming ingestion (see repro.ingest): the event payload
+        # carries per-poll deltas, so no cross-poll bookkeeping is needed.
+        ("ingest", None, "repro_ingest_polls_total", "ingest polls"),
+        ("ingest", "admitted", "repro_ingest_admitted_total",
+         "streamed samples admitted into the sample universe"),
+        ("ingest", "evicted", "repro_ingest_evicted_total",
+         "streamed samples evicted from the ingest channel "
+         "(retention displacement + stale aging)"),
+        ("ingest", "stale", "repro_ingest_stale_total",
+         "streamed samples dropped as stale"),
+        ("ingest", "store_evictions", "repro_store_evictions_total",
+         "LRU evictions across distributed-store ranks"),
+    )
 
     def __init__(self, registry: MetricsRegistry | None = None) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
         r = self.registry
+        self._counted: dict[str, list] = {}
+        for event_type, field, name, help in self.COUNTED:
+            self._counted.setdefault(event_type, []).append(
+                (field, r.counter(name, help))
+            )
         self.step_time = r.histogram(
             "repro_step_time_seconds",
             "per-step train time (interval elapsed / steps)",
@@ -397,59 +457,63 @@ class MetricsCollector(Callback):
             buckets=BYTE_BUCKETS,
         )
         self.steps = r.counter("repro_steps_total", "optimizer steps taken")
-        self.rounds = r.counter("repro_rounds_total", "rounds completed")
-        self.tournaments = r.counter(
-            "repro_tournaments_total", "pairwise tournament judgements"
-        )
+        self.phase_seconds = {
+            phase: r.counter(
+                "repro_phase_seconds_total",
+                "driver wall clock per round phase",
+                labels={"phase": phase},
+            )
+            for phase in self.PHASES
+        }
         self.adoptions = r.counter(
             "repro_adoptions_total", "tournaments that adopted the partner"
         )
-        self.exchange_bytes = r.counter(
-            "repro_exchange_bytes_total", "total model-exchange traffic"
+        self.fetch_overlap = r.counter(
+            "repro_fetch_overlap_seconds_total",
+            "materialization hidden behind compute, max(0, materialize - stall)",
         )
-        self.local_fetches = r.counter(
-            "repro_datastore_local_fetches_total",
-            "store fetches served from the local shard",
+        self.checkpoint_saves = r.counter(
+            "repro_checkpoint_saves_total", "trainer checkpoints written"
         )
-        self.remote_fetches = r.counter(
-            "repro_datastore_remote_fetches_total",
-            "store fetches served from a remote shard",
-        )
-        self.health_warnings = r.counter(
-            "repro_health_warnings_total", "run-health alerts fired"
+        self.checkpoint_restores = r.counter(
+            "repro_checkpoint_restores_total", "trainer checkpoints restored"
         )
         self.prefetch_fill = r.gauge(
             "repro_prefetch_queue_fill",
             "prefetch queue occupancy at the last background fill",
         )
-        # Streaming-ingestion metrics (fed by ingest events; see
-        # repro.ingest).  The event payload carries per-poll deltas plus
-        # live channel/store readings, so the collector needs no
-        # cross-poll bookkeeping of its own.
-        self.ingest_admitted = r.counter(
-            "repro_ingest_admitted_total",
-            "streamed samples admitted into the sample universe",
-        )
-        self.ingest_evicted = r.counter(
-            "repro_ingest_evicted_total",
-            "streamed samples evicted from the ingest channel "
-            "(retention displacement + stale aging)",
+        self.ingest_paused = r.counter(
+            "repro_ingest_paused_polls_total",
+            "polls that hit the ingest channel's high watermark",
         )
         self.ingest_depth = r.gauge(
             "repro_ingest_channel_depth",
             "ingest channel occupancy after the last poll",
         )
+        self.channel_occupancy = r.histogram(
+            "repro_ingest_channel_occupancy",
+            "peak ingest channel occupancy fraction per poll",
+            buckets=tuple(i / 10 for i in range(1, 11)),
+        )
         self.ingest_lag = r.gauge(
             "repro_ingest_producer_lag",
             "published-but-undrained samples after the last poll",
         )
+        self.ingest_lag_max = r.gauge(
+            "repro_ingest_producer_lag_max",
+            "largest published-but-undrained backlog over all polls",
+        )
+        self.universe_size = r.gauge(
+            "repro_ingest_universe_size",
+            "sample-universe size after the last poll",
+        )
+        self.universe_version = r.gauge(
+            "repro_ingest_universe_version",
+            "sample-universe version after the last poll",
+        )
         self.store_occupancy = r.gauge(
             "repro_store_occupancy",
             "distributed-store cache occupancy fraction at the last poll",
-        )
-        self.store_evictions = r.counter(
-            "repro_store_evictions_total",
-            "LRU evictions across distributed-store ranks",
         )
         # Resource gauges (fed by resource_sample events; see
         # repro.telemetry.resources).  Peak RSS keeps max semantics across
@@ -466,7 +530,23 @@ class MetricsCollector(Callback):
             "cumulative user+system CPU seconds at the last sample",
         )
 
+    def _per_worker(self, kind: str, payload) -> Counter | None:
+        """The ``repro_worker_<kind>_seconds_total`` series of the
+        payload's backend worker; ``None`` for an unattributed event."""
+        backend, worker = payload.get("backend"), payload.get("worker")
+        if backend is None or worker is None:
+            return None
+        return self.registry.counter(
+            f"repro_worker_{kind}_seconds_total",
+            f"{kind} seconds per execution-backend worker",
+            labels={"backend": backend, "worker": int(worker)},
+        )
+
     # -- per-type folds ------------------------------------------------------
+
+    def on_event(self, event) -> None:
+        for field, counter in self._counted.get(event.type, ()):
+            counter.inc(1 if field is None else int(event.payload.get(field, 0)))
 
     def on_step_end(self, event) -> None:
         p = event.payload
@@ -477,46 +557,58 @@ class MetricsCollector(Callback):
             # One observation per interval: the mean per-step time.  Per-step
             # clocks would perturb the thing being measured.
             self.step_time.observe(float(elapsed) / steps)
+        train = self._per_worker("train", p)
+        if train is not None:
+            train.inc(float(p.get("elapsed_s", 0.0)))
 
     def on_round_end(self, event) -> None:
-        self.rounds.inc()
+        for phase, seconds in self.phase_seconds.items():
+            seconds.inc(float(event.payload.get(f"{phase}_s", 0.0)))
 
     def on_tournament(self, event) -> None:
-        self.tournaments.inc()
         if event.payload.get("adopted"):
             self.adoptions.inc()
 
     def on_exchange(self, event) -> None:
-        nbytes = int(event.payload.get("nbytes", 0))
-        self.exchange_bytes.inc(nbytes)
-        self.exchange_size.observe(nbytes)
+        self.exchange_size.observe(int(event.payload.get("nbytes", 0)))
 
     def on_fetch_stall(self, event) -> None:
         p = event.payload
-        self.stall.observe(float(p.get("stall_s", 0.0)))
+        stall = float(p.get("stall_s", 0.0))
+        overlap = max(0.0, float(p.get("materialize_s", stall)) - stall)
+        self.stall.observe(stall)
+        self.fetch_overlap.inc(overlap)
         materialize = p.get("materialize_s")
         if materialize is not None:
             self.fetch_latency.observe(float(materialize))
+        worker_stall = self._per_worker("stall", p)
+        if worker_stall is not None:
+            worker_stall.inc(stall)
+            self._per_worker("overlap", p).inc(overlap)
 
     def on_prefetch_fill(self, event) -> None:
         self.prefetch_fill.set(int(event.payload.get("fill", 0)))
 
-    def on_datastore_fetch(self, event) -> None:
-        p = event.payload
-        self.local_fetches.inc(int(p.get("local_fetches", 0)))
-        self.remote_fetches.inc(int(p.get("remote_fetches", 0)))
-
-    def on_alert(self, event) -> None:
-        self.health_warnings.inc()
+    def on_checkpoint(self, event) -> None:
+        if event.payload.get("action") == "save":
+            self.checkpoint_saves.inc()
+        else:
+            self.checkpoint_restores.inc()
 
     def on_ingest(self, event) -> None:
         p = event.payload
-        self.ingest_admitted.inc(int(p.get("admitted", 0)))
-        self.ingest_evicted.inc(int(p.get("evicted", 0)))
-        self.store_evictions.inc(int(p.get("store_evictions", 0)))
+        if p.get("paused"):
+            self.ingest_paused.inc()
         self.ingest_depth.set(int(p.get("depth", 0)))
-        self.ingest_lag.set(int(p.get("producer_lag", 0)))
+        lag = int(p.get("producer_lag", 0))
+        self.ingest_lag.set(lag)
+        self.ingest_lag_max.set(max(self.ingest_lag_max.value, lag))
+        self.universe_size.set(int(p.get("universe_size", 0)))
+        self.universe_version.set(int(p.get("universe_version", 0)))
         self.store_occupancy.set(float(p.get("store_occupancy", 0.0)))
+        occupancy = p.get("channel_occupancy")
+        if occupancy is not None:
+            self.channel_occupancy.observe(float(occupancy))
 
     def on_resource_sample(self, event) -> None:
         p = event.payload

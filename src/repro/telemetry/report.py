@@ -1,11 +1,12 @@
 """Offline trace analysis: summarize a JSONL telemetry trace.
 
 The counterpart of :class:`~repro.telemetry.callbacks.JsonlTraceWriter`:
-reads a trace back, folds it through the same aggregation logic the live
-callbacks use, and renders the run-level summary the paper's figures are
-built from — per-phase wall-clock, tournament adoption rate, exchange
-traffic, datastore fetch locality, data-pipeline stall vs. overlap, and
-(for traces recorded under a parallel execution backend) per-worker
+reads a trace back, folds it once through the same
+:class:`~repro.telemetry.metrics.MetricsCollector` a live run attaches,
+and renders the run-level summary the paper's figures are built from —
+per-phase wall-clock, tournament adoption rate, exchange traffic,
+datastore fetch locality, data-pipeline stall vs. overlap, and (for
+traces recorded under a parallel execution backend) per-worker
 train-time and stall attribution.
 
 Exposed on the command line as::
@@ -16,27 +17,26 @@ Exposed on the command line as::
 from __future__ import annotations
 
 import json
+import math
 from typing import Iterable
 
-from repro.telemetry.callbacks import CounterAggregator, JsonlTraceWriter, WallClockTimer
+from repro.telemetry.callbacks import JsonlTraceWriter
 from repro.telemetry.events import (
     ALERT,
     EVAL,
     EVENT_TYPES,
-    INGEST,
     PAIRING,
     SPAN,
     TelemetryEvent,
 )
+from repro.telemetry.metrics import MetricsCollector, MetricsRegistry, collect_metrics
 from repro.telemetry.resources import summarize_resources
 from repro.utils.units import format_bytes, format_time
 
 __all__ = [
     "load_trace",
     "load_trace_header",
-    "summarize_trace",
     "summarize_pairings",
-    "summarize_ingest",
     "summarize_eval",
     "trace_summary",
     "render_trace_report",
@@ -112,24 +112,6 @@ def load_trace_header(path) -> dict | None:
     return _parse_trace(path)[0]
 
 
-def summarize_trace(
-    events: Iterable[TelemetryEvent],
-) -> tuple[WallClockTimer, CounterAggregator, dict[str, int]]:
-    """Replay events through the live aggregation callbacks.
-
-    Returns the filled timer and counter aggregator plus a per-type event
-    census.
-    """
-    timer = WallClockTimer()
-    counters = CounterAggregator()
-    census: dict[str, int] = {}
-    for event in events:
-        census[event.type] = census.get(event.type, 0) + 1
-        timer.handle(event)
-        counters.handle(event)
-    return timer, counters, census
-
-
 def summarize_pairings(events: Iterable[TelemetryEvent]) -> dict | None:
     """Aggregate the trace's ``pairing`` events: who met whom under which
     topology.  Returns ``None`` when the trace has no pairing events.
@@ -179,58 +161,6 @@ def summarize_pairings(events: Iterable[TelemetryEvent]) -> dict | None:
     }
 
 
-def summarize_ingest(events: Iterable[TelemetryEvent]) -> dict | None:
-    """Aggregate the trace's ``ingest`` events: the streamed-universe
-    watermarks.  Returns ``None`` when the trace has no ingest events.
-
-    Keys: ``polls``, summed ``admitted``/``evicted``/``stale``/
-    ``store_evictions``, the final ``universe_size``/``universe_version``,
-    ``max_producer_lag``, ``paused_polls`` (polls that hit the channel's
-    high watermark), and mean/peak ``channel_occupancy`` (absent in
-    traces predating the occupancy payload).
-    """
-    polls = 0
-    admitted = evicted = stale = store_evictions = 0
-    universe_size = universe_version = None
-    max_lag = 0
-    paused_polls = 0
-    occupancies: list[float] = []
-    for event in events:
-        if event.type != INGEST:
-            continue
-        polls += 1
-        p = event.payload
-        admitted += int(p.get("admitted", 0))
-        evicted += int(p.get("evicted", 0))
-        stale += int(p.get("stale", 0))
-        store_evictions += int(p.get("store_evictions", 0))
-        universe_size = p.get("universe_size", universe_size)
-        universe_version = p.get("universe_version", universe_version)
-        max_lag = max(max_lag, int(p.get("producer_lag", 0)))
-        if p.get("paused"):
-            paused_polls += 1
-        occupancy = p.get("channel_occupancy")
-        if occupancy is not None:
-            occupancies.append(float(occupancy))
-    if not polls:
-        return None
-    return {
-        "polls": polls,
-        "admitted": admitted,
-        "evicted": evicted,
-        "stale": stale,
-        "store_evictions": store_evictions,
-        "universe_size": universe_size,
-        "universe_version": universe_version,
-        "max_producer_lag": max_lag,
-        "paused_polls": paused_polls,
-        "mean_channel_occupancy": (
-            sum(occupancies) / len(occupancies) if occupancies else None
-        ),
-        "peak_channel_occupancy": max(occupancies) if occupancies else None,
-    }
-
-
 def summarize_eval(events: Iterable[TelemetryEvent]) -> dict | None:
     """Aggregate the trace's quality-probe ``eval`` events (the ones
     carrying a ``divergence`` payload; driver eval snapshots, which carry
@@ -241,7 +171,8 @@ def summarize_eval(events: Iterable[TelemetryEvent]) -> dict | None:
     divergence), ``last_round``, and per-trainer ``trainers`` rows with
     the ``last`` and ``best`` (lowest) primary-metric reading plus the
     number of ``points`` folded — the offline counterpart of the live
-    plane's ``quality`` snapshot section.
+    plane's ``quality`` snapshot section.  Non-finite readings are
+    skipped, as the live fold skips them.
     """
     probes = 0
     metric = None
@@ -259,7 +190,7 @@ def summarize_eval(events: Iterable[TelemetryEvent]) -> dict | None:
         last_round = p.get("round", last_round)
         for name, values in divergence.items():
             value = (values or {}).get(metric)
-            if value is None:
+            if value is None or not math.isfinite(float(value)):
                 continue
             value = float(value)
             row = trainers.setdefault(
@@ -278,33 +209,144 @@ def summarize_eval(events: Iterable[TelemetryEvent]) -> dict | None:
     }
 
 
+def _ratio(part, whole) -> float:
+    return part / whole if whole else 0.0
+
+
+def _phases(registry: MetricsRegistry) -> dict:
+    """Per-phase wall-clock totals plus ``total``/``rounds``."""
+    phases = {
+        phase: float(
+            registry.counter(
+                "repro_phase_seconds_total", labels={"phase": phase}
+            ).value
+        )
+        for phase in MetricsCollector.PHASES
+    }
+    return {
+        **phases,
+        "total": sum(phases.values()),
+        "rounds": registry["repro_rounds_total"].value,
+    }
+
+
+def _counters(registry: MetricsRegistry) -> dict:
+    """Run-level counters and derived rates, as one flat dict.
+
+    Per-worker seconds appear flattened as ``train_s[<backend>/worker<N>]``
+    keys (absent when no ``step_end`` event carried backend attribution),
+    then ``stall_s[...]`` and ``overlap_s[...]`` from ``fetch_stall``."""
+    def count(name: str) -> int:
+        return registry[name].value
+
+    tournaments = count("repro_tournaments_total")
+    adoptions = count("repro_adoptions_total")
+    stall = registry["repro_fetch_stall_seconds"]
+    fills = count("repro_prefetch_fills_total")
+    slots = count("repro_prefetch_fill_slots_total")
+    hits = count("repro_latent_hits_total")
+    misses = count("repro_latent_misses_total")
+    local = count("repro_datastore_local_fetches_total")
+    remote = count("repro_datastore_remote_fetches_total")
+    out = {
+        "rounds": count("repro_rounds_total"),
+        "steps": count("repro_steps_total"),
+        "exchanges": registry["repro_exchange_bytes"].count,
+        "exchange_bytes": count("repro_exchange_bytes_total"),
+        "tournaments": tournaments,
+        "adoptions": adoptions,
+        "adoption_rate": _ratio(adoptions, tournaments),
+        "fetch_stalls": stall.count,
+        "fetch_stall_s": stall.sum,
+        "fetch_overlap_s": float(
+            registry["repro_fetch_overlap_seconds_total"].value
+        ),
+        "prefetch_fills": fills,
+        "prefetch_mean_fill": _ratio(slots, fills),
+        "latent_hits": hits,
+        "latent_misses": misses,
+        "latent_hit_ratio": _ratio(hits, hits + misses),
+        "datastore_local_fetches": local,
+        "datastore_remote_fetches": remote,
+        "datastore_local_bytes": count("repro_datastore_local_bytes_total"),
+        "datastore_remote_bytes": count("repro_datastore_remote_bytes_total"),
+        "remote_fetch_fraction": _ratio(remote, local + remote),
+        "checkpoint_saves": count("repro_checkpoint_saves_total"),
+        "checkpoint_restores": count("repro_checkpoint_restores_total"),
+        "checkpoint_bytes": count("repro_checkpoint_bytes_total"),
+    }
+    for prefix in ("train", "stall", "overlap"):
+        rows = {}
+        for metric in registry.series(f"repro_worker_{prefix}_seconds_total"):
+            labels = dict(metric.labels)
+            rows[f"{labels['backend']}/worker{labels['worker']}"] = metric.value
+        out.update((f"{prefix}_s[{key}]", s) for key, s in sorted(rows.items()))
+    return out
+
+
+def _ingest(registry: MetricsRegistry) -> dict | None:
+    """The streamed-universe watermarks; ``None`` without ingest polls.
+
+    Keys: ``polls``, summed ``admitted``/``evicted``/``stale``/
+    ``store_evictions``, the final ``universe_size``/``universe_version``,
+    ``max_producer_lag``, ``paused_polls`` (polls that hit the channel's
+    high watermark), and mean/peak ``channel_occupancy`` (``None`` for
+    traces predating the occupancy payload)."""
+    polls = registry["repro_ingest_polls_total"].value
+    if not polls:
+        return None
+    occupancy = registry["repro_ingest_channel_occupancy"].to_json()
+    return {
+        "polls": polls,
+        "admitted": registry["repro_ingest_admitted_total"].value,
+        "evicted": registry["repro_ingest_evicted_total"].value,
+        "stale": registry["repro_ingest_stale_total"].value,
+        "store_evictions": registry["repro_store_evictions_total"].value,
+        "universe_size": registry["repro_ingest_universe_size"].value,
+        "universe_version": registry["repro_ingest_universe_version"].value,
+        "max_producer_lag": registry["repro_ingest_producer_lag_max"].value,
+        "paused_polls": registry["repro_ingest_paused_polls_total"].value,
+        "mean_channel_occupancy": occupancy["mean"],
+        "peak_channel_occupancy": occupancy["max"],
+    }
+
+
+#: The histograms ``trace-report`` tabulates: (label, metric, unit).
+_PERCENTILE_ROWS = (
+    ("step time", "repro_step_time_seconds", "s"),
+    ("fetch latency", "repro_fetch_latency_seconds", "s"),
+    ("fetch stall", "repro_fetch_stall_seconds", "s"),
+    ("exchange size", "repro_exchange_bytes", "B"),
+)
+
+
 def trace_summary(path) -> dict:
     """Machine-readable trace summary: every section of the text report
     as one JSON-encodable dict (``trace-report --format json``).
 
-    Stable shape: ``header`` (the validated trace header or ``None``),
-    ``events`` (per-type census), ``phases`` (wall-clock totals plus
-    ``total``/``rounds``), ``counters`` (the full
-    :meth:`~repro.telemetry.callbacks.CounterAggregator.summary` dict,
-    per-worker keys included), ``percentiles`` (histogram summaries keyed
-    by metric name, only metrics that saw data), ``pairings``/``ingest``/
-    ``eval`` (the :func:`summarize_pairings`/:func:`summarize_ingest`/
-    :func:`summarize_eval` aggregates,
-    ``None`` when the trace carries no such events), ``resources`` (per-source
-    peak-RSS/CPU rows from ``resource_sample`` events), ``health`` (the
-    ``alert`` event payloads) and ``spans`` (count + track census, ``None``
-    for untraced runs).  The bench harness and CI consume this instead of
-    scraping the text rendering.
+    The trace is parsed once and folded once, by
+    :func:`~repro.telemetry.metrics.collect_metrics`; ``phases``,
+    ``counters``, ``ingest`` and ``percentiles`` are read off that
+    registry.  Stable shape: ``header`` (the validated trace header or
+    ``None``), ``events`` (per-type census), ``phases`` (wall-clock
+    totals plus ``total``/``rounds``), ``counters`` (run counters and
+    derived rates, per-worker keys included), ``percentiles`` (histogram
+    summaries keyed by metric name, only metrics that saw data),
+    ``pairings``/``ingest``/``eval`` (``None`` when the trace carries no
+    such events), ``resources`` (per-source peak-RSS/CPU rows from
+    ``resource_sample`` events), ``health`` (the ``alert`` event
+    payloads) and ``spans`` (count + track census, ``None`` for untraced
+    runs).
     """
-    from repro.telemetry.metrics import collect_metrics
-
     header, events = _parse_trace(path)
-    timer, counters, census = summarize_trace(events)
     registry = collect_metrics(events)
+    census: dict[str, int] = {}
+    for event in events:
+        census[event.type] = census.get(event.type, 0) + 1
     percentiles = {
-        metric.name: metric.to_json()
-        for metric in registry
-        if metric.kind == "histogram" and metric.count > 0
+        name: registry[name].to_json()
+        for _, name, _ in _PERCENTILE_ROWS
+        if registry[name].count > 0
     }
     spans = None
     if census.get(SPAN):
@@ -316,15 +358,11 @@ def trace_summary(path) -> dict:
         "trace": str(path),
         "header": header,
         "events": census,
-        "phases": {
-            **{phase: timer.totals[phase] for phase in timer.PHASES},
-            "total": timer.total_s,
-            "rounds": timer.rounds,
-        },
-        "counters": counters.summary(),
+        "phases": _phases(registry),
+        "counters": _counters(registry),
         "percentiles": percentiles,
         "pairings": summarize_pairings(events),
-        "ingest": summarize_ingest(events),
+        "ingest": _ingest(registry),
         "eval": summarize_eval(events),
         "resources": summarize_resources(events),
         "health": [dict(e.payload) for e in events if e.type == ALERT],
@@ -367,7 +405,7 @@ def render_trace_report(path) -> str:
     for event_type in sorted(census):
         out.append(f"  {event_type}: {census[event_type]}")
     out.append("per-phase wall clock:")
-    for phase in WallClockTimer.PHASES:
+    for phase in MetricsCollector.PHASES:
         out.append(f"  {phase}: {phases[phase]:.3f}s")
     out.append(f"  total: {phases['total']:.3f}s over {phases['rounds']} rounds")
     summary = doc["counters"]
@@ -517,14 +555,8 @@ def render_trace_report(path) -> str:
 
 def _render_percentiles(percentiles: dict) -> list[str]:
     """Latency-percentile table lines from the ``percentiles`` section."""
-    rows = [
-        ("step time", "repro_step_time_seconds", "s"),
-        ("fetch latency", "repro_fetch_latency_seconds", "s"),
-        ("fetch stall", "repro_fetch_stall_seconds", "s"),
-        ("exchange size", "repro_exchange_bytes", "B"),
-    ]
     lines: list[str] = []
-    for label, name, unit in rows:
+    for label, name, unit in _PERCENTILE_ROWS:
         hist = percentiles.get(name)
         if hist is None:
             continue

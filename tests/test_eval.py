@@ -577,6 +577,23 @@ class TestEvalReporting:
         # Driver eval payloads don't count as probe passes.
         assert summarize_eval([]) is None
 
+    def test_summarize_eval_skips_non_finite_readings(self):
+        # A NaN first reading must not pin ``best`` at NaN: the offline
+        # fold skips non-finite readings exactly as the live one does.
+        from repro.telemetry.report import summarize_eval
+
+        events = [
+            _eval_event(r, {"t0": {"js": value}})
+            for r, value in enumerate([float("nan"), 0.5, 0.4])
+        ]
+        agg = summarize_eval(events)
+        assert agg["trainers"]["t0"] == {"last": 0.4, "best": 0.4, "points": 2}
+        live = LiveAggregator()
+        for event in events:
+            live.handle(event)
+        assert live._div_floor["t0"] == agg["trainers"]["t0"]["best"]
+        assert live._div_points["t0"] == agg["trainers"]["t0"]["points"]
+
     def test_trace_report_renders_quality_section(self, tmp_path):
         from repro.telemetry.callbacks import JsonlTraceWriter
         from repro.telemetry.report import render_trace_report, trace_summary

@@ -39,6 +39,15 @@ def _population(tiny_dataset, tiny_spec, tiny_autoencoder, k=4):
     )
 
 
+def _worker_train_s(metrics) -> dict[str, float]:
+    """A collector's per-worker train seconds, keyed ``backend/workerN``."""
+    out = {}
+    for series in metrics.registry.series("repro_worker_train_seconds_total"):
+        labels = dict(series.labels)
+        out[f"{labels['backend']}/worker{labels['worker']}"] = series.value
+    return out
+
+
 def _run_ltfb(
     tiny_dataset, tiny_spec, tiny_autoencoder, backend,
     topology="random_pairwise",
@@ -309,60 +318,60 @@ class TestTelemetryAttribution:
         assert [e["worker"] for e in events] == [0, 1, 0, 1]
 
     def test_counter_aggregator_per_worker_seconds(
-        self, tiny_dataset, tiny_spec, tiny_autoencoder
+        self, tiny_dataset, tiny_spec, tiny_autoencoder, tmp_path
     ):
-        from repro.telemetry import CounterAggregator
+        from repro.telemetry import JsonlTraceWriter, MetricsCollector, trace_summary
 
         trainers = _population(tiny_dataset, tiny_spec, tiny_autoencoder)
-        counters = CounterAggregator()
+        metrics = MetricsCollector()
+        trace = tmp_path / "trace.jsonl"
         driver = LtfbDriver(
             trainers,
             np.random.default_rng(7),
             LtfbConfig(steps_per_round=2, rounds=1),
             backend=ThreadBackend(max_workers=2),
         )
-        driver.run(callbacks=[counters])
-        assert set(counters.worker_train_s) == {
-            "thread/worker0", "thread/worker1",
-        }
-        assert all(s > 0 for s in counters.worker_train_s.values())
-        summary = counters.summary()
+        driver.run(callbacks=[metrics, JsonlTraceWriter(trace)])
+        worker_train_s = _worker_train_s(metrics)
+        assert set(worker_train_s) == {"thread/worker0", "thread/worker1"}
+        assert all(s > 0 for s in worker_train_s.values())
+        summary = trace_summary(trace)["counters"]
         assert "train_s[thread/worker0]" in summary
 
     def test_counter_aggregator_per_worker_seconds_process(
-        self, tiny_dataset, tiny_spec, tiny_autoencoder
+        self, tiny_dataset, tiny_spec, tiny_autoencoder, tmp_path
     ):
         # Worker attribution must survive the multiprocessing relay: step
         # events recorded in worker processes still carry backend/worker
         # fields when replayed on the driver's hub.
-        from repro.telemetry import CounterAggregator
+        from repro.telemetry import JsonlTraceWriter, MetricsCollector, trace_summary
 
         trainers = _population(tiny_dataset, tiny_spec, tiny_autoencoder)
-        counters = CounterAggregator()
+        metrics = MetricsCollector()
+        trace = tmp_path / "trace.jsonl"
         driver = LtfbDriver(
             trainers,
             np.random.default_rng(7),
             LtfbConfig(steps_per_round=2, rounds=1),
             backend=ProcessBackend(max_workers=2),
         )
-        driver.run(callbacks=[counters])
-        assert set(counters.worker_train_s) == {
-            "process/worker0", "process/worker1",
-        }
-        assert all(s > 0 for s in counters.worker_train_s.values())
-        summary = counters.summary()
+        driver.run(callbacks=[metrics, JsonlTraceWriter(trace)])
+        worker_train_s = _worker_train_s(metrics)
+        assert set(worker_train_s) == {"process/worker0", "process/worker1"}
+        assert all(s > 0 for s in worker_train_s.values())
+        summary = trace_summary(trace)["counters"]
         assert "train_s[process/worker0]" in summary
 
     def test_counter_aggregator_skips_unattributed_steps(self):
-        from repro.telemetry import CounterAggregator
+        from repro.telemetry import MetricsCollector
 
-        counters = CounterAggregator()
+        metrics = MetricsCollector()
         hub = TelemetryHub()
-        hub.subscribe(counters)
+        hub.subscribe(metrics)
         # A pre-backend trace line: no backend/worker fields.
         hub.emit("step_end", trainer="t", steps=3, elapsed_s=0.5)
-        assert counters.steps == 3
-        assert counters.worker_train_s == {}
+        assert metrics.steps.value == 3
+        assert _worker_train_s(metrics) == {}
 
     def test_trace_report_renders_per_worker_section(
         self, tmp_path, tiny_dataset, tiny_spec, tiny_autoencoder

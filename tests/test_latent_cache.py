@@ -500,12 +500,23 @@ class TestTraceReport:
             assert f"  {key}: {seconds:.3f}s (" in text
             assert f"    {key}: stall {counters[f'stall_s[{key}]']:.3f}s" in text
 
-    def test_older_traces_without_the_fields_still_fold(self):
-        from repro.telemetry import CounterAggregator, TelemetryHub
+    def test_older_traces_without_the_fields_still_fold(self, tmp_path):
+        from repro.telemetry import (
+            JsonlTraceWriter,
+            MetricsCollector,
+            TelemetryHub,
+            trace_summary,
+        )
 
-        counters = CounterAggregator()
+        trace = tmp_path / "trace.jsonl"
+        metrics = MetricsCollector()
         hub = TelemetryHub()
-        hub.subscribe(counters)
-        hub.emit("step_end", trainer="t", steps=3, elapsed_s=0.5)
-        assert (counters.latent_hits, counters.latent_misses) == (0, 0)
-        assert counters.latent_hit_ratio() == 0.0
+        hub.subscribe(metrics)
+        with JsonlTraceWriter(trace) as writer:
+            hub.subscribe(writer)
+            hub.emit("step_end", trainer="t", steps=3, elapsed_s=0.5)
+        assert (
+            metrics.registry["repro_latent_hits_total"].value,
+            metrics.registry["repro_latent_misses_total"].value,
+        ) == (0, 0)
+        assert trace_summary(trace)["counters"]["latent_hit_ratio"] == 0.0

@@ -687,7 +687,6 @@ class TestReportSections:
     def test_sections_absent_without_events(self, tmp_path):
         from repro.telemetry.report import (
             render_trace_report,
-            summarize_ingest,
             summarize_pairings,
             trace_summary,
         )
@@ -700,7 +699,6 @@ class TestReportSections:
         hub.emit("round_end", round=0, train_s=0.02)
         writer.close()
         assert summarize_pairings([]) is None
-        assert summarize_ingest([]) is None
         text = render_trace_report(trace)
         assert "pairing:" not in text
         assert "ingest:" not in text

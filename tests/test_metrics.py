@@ -185,9 +185,7 @@ class TestMetricsCollector:
         )
         driver.run(callbacks=[JsonlTraceWriter(trace), live])
         offline = collect_metrics(load_trace(trace))
-        assert offline.to_json()["counters"] == (
-            live.registry.to_json()["counters"]
-        )
+        assert offline.to_json() == live.registry.to_json()
         assert (
             offline["repro_step_time_seconds"].count
             == live.step_time.count

@@ -35,7 +35,7 @@ from repro.datastore import (
 )
 from repro.datastore.bundle import write_bundles
 from repro.exec import resolve_backend
-from repro.telemetry import CounterAggregator, JsonlTraceWriter, TelemetryHub
+from repro.telemetry import JsonlTraceWriter, MetricsCollector, TelemetryHub
 from repro.utils.rng import RngFactory
 
 N, BATCH = 64, 8
@@ -551,23 +551,26 @@ class TestCheckpointMidEpochResume:
 class TestPipelineTelemetry:
     def test_sync_pipeline_emits_fetch_stall_only(self):
         hub = TelemetryHub()
-        counters = CounterAggregator()
-        hub.subscribe(counters)
+        metrics = MetricsCollector()
+        hub.subscribe(metrics)
         pipeline = build_pipeline(make_reader(), BATCH)
         pipeline.telemetry = hub
         pipeline.context = {"trainer": "t0", "backend": "serial", "worker": 0}
         for _ in range(4):
             pipeline.next_batch()
-        assert counters.fetch_stalls == 4
-        assert counters.prefetch_fills == 0
+        assert metrics.stall.count == 4
+        assert metrics.registry["repro_prefetch_fills_total"].value == 0
         # Synchronous: the stall is the materialization, nothing hidden.
-        assert counters.fetch_overlap_s == 0.0
-        assert set(counters.worker_stall_s) == {"serial/worker0"}
+        assert metrics.fetch_overlap.value == 0.0
+        stall_series = metrics.registry.series("repro_worker_stall_seconds_total")
+        assert [dict(s.labels) for s in stall_series] == [
+            {"backend": "serial", "worker": "0"}
+        ]
 
     def test_prefetching_pipeline_emits_fills(self):
         hub = TelemetryHub()
-        counters = CounterAggregator()
-        hub.subscribe(counters)
+        metrics = MetricsCollector()
+        hub.subscribe(metrics)
         pipeline = build_pipeline(make_reader(), BATCH, prefetch_depth=2)
         pipeline.telemetry = hub
         try:
@@ -575,9 +578,11 @@ class TestPipelineTelemetry:
                 pipeline.next_batch()
         finally:
             pipeline.close()
-        assert counters.fetch_stalls == 4
-        assert counters.prefetch_fills >= 4
-        assert 0.0 <= counters.mean_prefetch_fill() <= 2.0
+        fills = metrics.registry["repro_prefetch_fills_total"].value
+        slots = metrics.registry["repro_prefetch_fill_slots_total"].value
+        assert metrics.stall.count == 4
+        assert fills >= 4
+        assert 0.0 <= slots / fills <= 2.0
 
     def test_trace_report_renders_data_pipeline_section(
         self, tmp_path, tiny_dataset, tiny_spec, tiny_autoencoder

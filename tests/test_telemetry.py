@@ -1,7 +1,7 @@
 """Tests for the telemetry subsystem and the unified driver API.
 
-Covers the hub/event layer, the shipped callbacks (trace writer, timer,
-counter aggregator, progress logger, resource sampler), instrumentation
+Covers the hub/event layer, the shipped callbacks (trace writer, metrics
+collector, progress logger, resource sampler), instrumentation
 of the data store and checkpointing, and the trace-report CLI.
 """
 
@@ -23,16 +23,15 @@ from repro.datastore.store import DistributedDataStore
 from repro.telemetry import (
     EVENT_TYPES,
     Callback,
-    CounterAggregator,
     JsonlTraceWriter,
+    MetricsCollector,
     ProgressLogger,
     ResourceSampler,
     TelemetryHub,
-    WallClockTimer,
     load_trace,
+    render_trace_report,
     sample_resources,
     summarize_resources,
-    summarize_trace,
     trace_summary,
 )
 from repro.utils.rng import RngFactory
@@ -142,22 +141,20 @@ class TestLtfbTelemetry:
         )
         trace_path = tmp_path / "trace.jsonl"
         rec = Recorder()
-        timer = WallClockTimer()
-        counters = CounterAggregator()
+        metrics = MetricsCollector()
         stream = io.StringIO()
         history = driver.run(
             callbacks=[
                 JsonlTraceWriter(trace_path),
                 rec,
-                timer,
-                counters,
+                metrics,
                 ProgressLogger(stream=stream),
             ]
         )
-        return driver, history, trace_path, rec, timer, counters, stream
+        return driver, history, trace_path, rec, metrics, stream
 
     def test_event_stream_shape(self, traced_run):
-        driver, history, _, rec, _, _, _ = traced_run
+        driver, history, _, rec, _, _ = traced_run
         assert rec.run_begins == 1 and rec.run_ends == 1
         # 4 trainers x 2 rounds train intervals.
         assert len(rec.of_type("step_end")) == 8
@@ -172,30 +169,34 @@ class TestLtfbTelemetry:
             assert "gen_loss" in e.payload["losses"]
 
     def test_counters_match_history(self, traced_run):
-        _, history, _, _, _, counters, _ = traced_run
-        assert counters.exchange_bytes == history.exchange_bytes
-        assert counters.tournaments == len(history.tournaments)
-        assert counters.adoption_rate() == pytest.approx(history.adoption_rate())
-        assert counters.steps == 16  # 4 trainers x 2 rounds x 2 steps
+        _, history, trace_path, _, metrics, _ = traced_run
+        registry = metrics.registry
+        assert registry["repro_exchange_bytes_total"].value == history.exchange_bytes
+        assert registry["repro_tournaments_total"].value == len(history.tournaments)
+        assert trace_summary(trace_path)["counters"][
+            "adoption_rate"
+        ] == pytest.approx(history.adoption_rate())
+        assert metrics.steps.value == 16  # 4 trainers x 2 rounds x 2 steps
 
     def test_timer_accumulates_phases(self, traced_run):
-        _, _, _, _, timer, _, _ = traced_run
-        assert timer.rounds == 2
-        assert set(timer.totals) == {"train", "tournament", "exchange", "eval"}
-        assert timer.totals["train"] > 0.0
-        assert timer.totals["eval"] > 0.0
-        assert all(v >= 0.0 for v in timer.totals.values())
-        assert "wall clock over 2 rounds" in timer.summary()
+        _, _, trace_path, _, metrics, _ = traced_run
+        totals = {p: c.value for p, c in metrics.phase_seconds.items()}
+        assert metrics.registry["repro_rounds_total"].value == 2
+        assert set(totals) == {"train", "tournament", "exchange", "eval"}
+        assert totals["train"] > 0.0
+        assert totals["eval"] > 0.0
+        assert all(v >= 0.0 for v in totals.values())
+        assert "s over 2 rounds" in render_trace_report(trace_path)
 
     def test_progress_logger_lines(self, traced_run):
-        _, _, _, _, _, _, stream = traced_run
+        _, _, _, _, _, stream = traced_run
         lines = stream.getvalue().strip().splitlines()
         assert len(lines) == 2
         assert lines[0].startswith("[round 1/2]")
         assert "best val_loss" in lines[0]
 
     def test_jsonl_trace_round_trip(self, traced_run):
-        _, history, trace_path, rec, _, _, _ = traced_run
+        _, history, trace_path, rec, _, _ = traced_run
         # Every line is one JSON object; line 1 is the versioned header,
         # the rest are events with known types.
         with open(trace_path, encoding="utf-8") as fh:
@@ -212,13 +213,15 @@ class TestLtfbTelemetry:
         # Loading reproduces the stream; summarizing reproduces the run.
         events = load_trace(trace_path)
         assert [e.type for e in events] == [e.type for e in rec.events]
-        timer, counters, census = summarize_trace(events)
-        assert counters.exchange_bytes == history.exchange_bytes
-        assert counters.adoption_rate() == pytest.approx(history.adoption_rate())
-        assert census["round_end"] == 2 and timer.rounds == 2
+        summary = trace_summary(trace_path)
+        counters = summary["counters"]
+        assert counters["exchange_bytes"] == history.exchange_bytes
+        assert counters["adoption_rate"] == pytest.approx(history.adoption_rate())
+        assert summary["events"]["round_end"] == 2
+        assert summary["phases"]["rounds"] == 2
 
     def test_callbacks_detach_after_run(self, traced_run):
-        driver, _, _, rec, _, _, _ = traced_run
+        driver, _, _, rec, _, _ = traced_run
         assert driver.telemetry.callbacks == []
         n = len(rec.events)
         driver.telemetry.emit("round_end", round=99)
@@ -270,22 +273,6 @@ class TestDatastoreTelemetry:
         assert p["local_fetches"] == store.stats.local_fetches
         assert p["remote_fetches"] == store.stats.remote_fetches
         assert p["local_bytes"] + p["remote_bytes"] == 4 * 16
-
-    def test_counter_aggregator_folds_stats_snapshot(self):
-        store = DistributedDataStore(num_ranks=2, bytes_per_rank=1 << 20)
-        sample = {"x": np.ones(4, dtype=np.float32)}
-        for sid in range(4):
-            store.cache_sample(sid % 2, sid, sample)
-        store.fetch_batch([0, 1, 2, 3])
-        counters = CounterAggregator()
-        counters.fold_datastore(store.stats)
-        assert (
-            counters.datastore_local_fetches + counters.datastore_remote_fetches
-            == 4
-        )
-        assert counters.remote_fetch_fraction() == pytest.approx(
-            store.stats.remote_fraction
-        )
 
 
 class TestCheckpointTelemetry:
@@ -399,6 +386,161 @@ class TestTraceReportCli:
         assert doc["health"] == [] and doc["spans"] is None
         # The same dict is importable directly.
         assert trace_summary(trace_path)["phases"]["rounds"] == 2
+
+
+def _write_trace(path, events) -> None:
+    hub = TelemetryHub()
+    with JsonlTraceWriter(path) as writer:
+        hub.subscribe(writer)
+        for event_type, payload in events:
+            hub.emit(event_type, **payload)
+
+
+def _ingest(**payload) -> tuple[str, dict]:
+    base = dict(depth=4, cursor=8, store_occupancy=0.5, paused=False)
+    return ("ingest", {**base, **payload})
+
+
+class TestTraceSummaryGolden:
+    """``trace_summary``'s additive sections pinned on a synthetic stream
+    that carries every field they read — with and without the optional
+    ones.  Compared as JSON text too, so key order and int-vs-float
+    survive (``1 == 1.0`` would hide them)."""
+
+    EVENTS = [
+        ("step_end", dict(trainer="t0", steps=2, elapsed_s=0.5,
+                          backend="process", worker=0,
+                          latent_hits=6, latent_misses=2)),
+        ("step_end", dict(trainer="t1", steps=2, elapsed_s=0.25,
+                          backend="process", worker=1,
+                          latent_hits=8, latent_misses=0)),
+        ("step_end", dict(trainer="t2", steps=2, elapsed_s=0.125,
+                          backend="process", worker=10)),
+        # A pre-backend trace line: no backend/worker, no latent fields.
+        ("step_end", dict(trainer="old", steps=3, elapsed_s=0.75)),
+        ("fetch_stall", dict(trainer="t0", stall_s=0.125, materialize_s=0.5,
+                             backend="process", worker=0)),
+        ("fetch_stall", dict(trainer="t1", stall_s=0.25, materialize_s=0.125,
+                             backend="process", worker=1)),
+        ("fetch_stall", dict(trainer="t0", stall_s=0.0625)),
+        ("prefetch_fill", dict(trainer="t0", fill=2)),
+        ("prefetch_fill", dict(trainer="t0", fill=1)),
+        ("prefetch_fill", dict(trainer="t1", fill=0)),
+        ("datastore_fetch", dict(batch_size=4, local_fetches=3,
+                                 remote_fetches=1, local_bytes=300,
+                                 remote_bytes=100)),
+        ("checkpoint", dict(action="save", trainer="t0", nbytes=4096)),
+        ("checkpoint", dict(action="restore", trainer="t0", nbytes=4096)),
+        ("checkpoint", dict(action="save", trainer="t1", nbytes=2048)),
+        ("exchange", dict(round=0, a="t0", b="t1", nbytes=1024)),
+        ("exchange", dict(round=0, a="t2", b="old", nbytes=3072)),
+        ("tournament", dict(round=0, trainer="t0", partner="t1",
+                            adopted=True)),
+        ("tournament", dict(round=0, trainer="t1", partner="t0",
+                            adopted=False)),
+        ("tournament", dict(round=0, trainer="t2", partner="old",
+                            adopted=False)),
+        _ingest(round=0, admitted=8, evicted=2, stale=1, store_evictions=3,
+                universe_version=1, universe_size=72, producer_lag=5,
+                channel_occupancy=0.25),
+        ("round_end", dict(round=0, train_s=1.5, tournament_s=0.125,
+                           exchange_s=0.0625, eval_s=0.25)),
+        # Older ingest payload: no channel_occupancy; this poll paused.
+        _ingest(round=1, admitted=4, evicted=1, stale=0, store_evictions=0,
+                universe_version=2, universe_size=80, producer_lag=3,
+                paused=True),
+        _ingest(round=1, admitted=2, evicted=0, stale=1, store_evictions=1,
+                universe_version=3, universe_size=88, producer_lag=7,
+                channel_occupancy=0.75),
+        ("round_end", dict(round=1, train_s=1.25, tournament_s=0.125,
+                           exchange_s=0.0625)),
+    ]
+
+    PHASES = {
+        "train": 2.75, "tournament": 0.25, "exchange": 0.125, "eval": 0.25,
+        "total": 3.375, "rounds": 2,
+    }
+
+    COUNTERS = {
+        "rounds": 2,
+        "steps": 9,
+        "exchanges": 2,
+        "exchange_bytes": 4096,
+        "tournaments": 3,
+        "adoptions": 1,
+        "adoption_rate": 1 / 3,
+        "fetch_stalls": 3,
+        "fetch_stall_s": 0.4375,
+        "fetch_overlap_s": 0.375,
+        "prefetch_fills": 3,
+        "prefetch_mean_fill": 1.0,
+        "latent_hits": 14,
+        "latent_misses": 2,
+        "latent_hit_ratio": 0.875,
+        "datastore_local_fetches": 3,
+        "datastore_remote_fetches": 1,
+        "datastore_local_bytes": 300,
+        "datastore_remote_bytes": 100,
+        "remote_fetch_fraction": 0.25,
+        "checkpoint_saves": 2,
+        "checkpoint_restores": 1,
+        "checkpoint_bytes": 10240,
+        "train_s[process/worker0]": 0.5,
+        "train_s[process/worker1]": 0.25,
+        "train_s[process/worker10]": 0.125,
+        "stall_s[process/worker0]": 0.125,
+        "stall_s[process/worker1]": 0.25,
+        "overlap_s[process/worker0]": 0.375,
+        "overlap_s[process/worker1]": 0.0,
+    }
+
+    INGEST = {
+        "polls": 3,
+        "admitted": 14,
+        "evicted": 3,
+        "stale": 2,
+        "store_evictions": 4,
+        "universe_size": 88,
+        "universe_version": 3,
+        "max_producer_lag": 7,
+        "paused_polls": 1,
+        "mean_channel_occupancy": 0.5,
+        "peak_channel_occupancy": 0.75,
+    }
+
+    @staticmethod
+    def _assert_section(actual, expected) -> None:
+        assert actual == expected
+        assert json.dumps(actual) == json.dumps(expected)
+
+    def test_sections_of_a_full_stream(self, tmp_path):
+        trace = tmp_path / "trace.jsonl"
+        _write_trace(trace, self.EVENTS)
+        summary = trace_summary(trace)
+        self._assert_section(summary["phases"], self.PHASES)
+        self._assert_section(summary["counters"], self.COUNTERS)
+        self._assert_section(summary["ingest"], self.INGEST)
+
+    def test_sections_of_an_empty_trace(self, tmp_path):
+        trace = tmp_path / "trace.jsonl"
+        _write_trace(trace, [])
+        summary = trace_summary(trace)
+        self._assert_section(summary["phases"], {
+            "train": 0.0, "tournament": 0.0, "exchange": 0.0, "eval": 0.0,
+            "total": 0.0, "rounds": 0,
+        })
+        self._assert_section(summary["counters"], {
+            "rounds": 0, "steps": 0, "exchanges": 0, "exchange_bytes": 0,
+            "tournaments": 0, "adoptions": 0, "adoption_rate": 0.0,
+            "fetch_stalls": 0, "fetch_stall_s": 0.0, "fetch_overlap_s": 0.0,
+            "prefetch_fills": 0, "prefetch_mean_fill": 0.0,
+            "latent_hits": 0, "latent_misses": 0, "latent_hit_ratio": 0.0,
+            "datastore_local_fetches": 0, "datastore_remote_fetches": 0,
+            "datastore_local_bytes": 0, "datastore_remote_bytes": 0,
+            "remote_fetch_fraction": 0.0, "checkpoint_saves": 0,
+            "checkpoint_restores": 0, "checkpoint_bytes": 0,
+        })
+        assert summary["ingest"] is None
 
 
 class TestResourceTelemetry:
