@@ -24,13 +24,18 @@ Shipped callbacks:
   counter tracks;
 - :class:`LiveAggregator` / :class:`FlightRecorder` — the live
   observability plane (:mod:`repro.telemetry.live`): the one run-health
-  path — windowed rollups plus six rules (NaN loss, stall regression,
-  win-rate collapse, quality collapse, ingest backpressure, serve SLO
-  burn) whose :class:`Alert` rows land in ``History.health_warnings``
-  *during* the run and on the bus as ``alert`` events — and a bounded
-  ring of recent events dumped as a post-mortem bundle on
-  crash/critical alert/SIGTERM.  ``python -m repro.telemetry watch``
-  renders the live status surface from a trace.
+  path and the one state fold — windowed rollups, probe quality, the
+  pairing census and resource rows, plus six rules (NaN loss, stall
+  regression, win-rate collapse, quality collapse, ingest backpressure,
+  serve SLO burn) whose :class:`Alert` rows land in
+  ``History.health_warnings`` *during* the run and on the bus as
+  ``alert`` events — and a bounded ring of recent events dumped as a
+  post-mortem bundle on crash/critical alert/SIGTERM.
+
+Offline, ``trace-report`` and ``python -m repro.telemetry watch`` read a
+trace through one validating parser (:class:`~repro.telemetry.report.
+TraceReader`) and render the same two folds of it: the collector's and
+the aggregator's.
 
 Profiling spans (:mod:`repro.telemetry.spans`) ride the same bus as
 ``span`` events when tracing is enabled
@@ -107,7 +112,6 @@ from repro.telemetry.resources import (
     ResourceSampler,
     emit_resource_sample,
     sample_resources,
-    summarize_resources,
 )
 from repro.telemetry.spans import Span, Tracer
 
@@ -150,7 +154,6 @@ __all__ = [
     "ResourceSampler",
     "sample_resources",
     "emit_resource_sample",
-    "summarize_resources",
     "chrome_trace",
     "export_chrome_trace",
     "load_trace",

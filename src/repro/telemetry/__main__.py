@@ -1,13 +1,15 @@
 """``python -m repro.telemetry`` — the live terminal status surface.
 
-``watch`` tails a JSONL telemetry trace (being written by a running
-campaign, or already finished), folds every event through the same
-:class:`~repro.telemetry.live.LiveAggregator` the in-process live plane
-uses, and renders a refreshing snapshot: per-trainer round progress, the
-last topology pairing, ingest watermarks, serve SLO burn, the last
-quality-probe divergence readings, and the alert feed.  Because it replays the *trace*, it needs no connection to the run
-— ``--follow`` polls the file for new lines, a plain invocation renders
-the final state once.
+``watch`` reads a JSONL telemetry trace (being written by a running
+campaign, or already finished) through ``trace-report``'s validating
+:class:`~repro.telemetry.report.TraceReader`, folds every event through
+the same :class:`~repro.telemetry.live.LiveAggregator` the in-process
+live plane uses, and renders a refreshing snapshot: per-trainer round
+progress, the last topology pairing, ingest watermarks, serve SLO burn,
+the last quality-probe divergence readings, and the alert feed.  It needs
+no connection to the run — ``--follow`` polls the file for new lines, a
+plain invocation renders the final state once.  A trace the reader
+refuses exits 1 with ``watch: <path>:<line>: ...`` on stderr.
 
 ::
 
@@ -22,77 +24,31 @@ import json
 import sys
 import time
 
-from repro.telemetry.events import EVENT_TYPES, TelemetryEvent
 from repro.telemetry.live import LiveAggregator
+from repro.telemetry.report import TraceReader, run_bits
 from repro.utils.units import format_bytes
 
 __all__ = ["watch_snapshot", "render_watch", "main"]
 
 
-class _TraceTail:
-    """Incremental JSONL trace reader: each :meth:`poll` yields the
-    events appended since the last one.  Tolerates a half-written final
-    line (the writer may be mid-append) by re-reading it next poll."""
-
-    def __init__(self, path) -> None:
-        self.path = path
-        self._offset = 0
-        self.header: dict | None = None
-        self._first = True
-
-    def poll(self) -> list[TelemetryEvent]:
-        events: list[TelemetryEvent] = []
-        try:
-            fh = open(self.path, "r", encoding="utf-8")
-        except FileNotFoundError:
-            return events
-        with fh:
-            fh.seek(self._offset)
-            while True:
-                line_start = fh.tell()
-                line = fh.readline()
-                if not line:
-                    break
-                if not line.endswith("\n"):
-                    # Incomplete tail line: leave it for the next poll.
-                    fh.seek(line_start)
-                    break
-                self._offset = fh.tell()
-                text = line.strip()
-                if not text:
-                    continue
-                try:
-                    record = json.loads(text)
-                except json.JSONDecodeError:
-                    continue  # torn write mid-line; skip defensively
-                rtype = record.pop("type", None)
-                if rtype == "trace_header" and self._first:
-                    self.header = record
-                    self._first = False
-                    continue
-                self._first = False
-                if rtype not in EVENT_TYPES:
-                    continue
-                events.append(
-                    TelemetryEvent(
-                        type=rtype,
-                        time_s=float(record.pop("time_s", 0.0)),
-                        sequence=int(record.pop("sequence", 0)),
-                        payload=record,
-                    )
-                )
-        return events
+def _fold(reader: TraceReader, aggregator: LiveAggregator) -> dict:
+    """Fold the newly appended events (none while the trace does not
+    exist yet) and return the snapshot."""
+    try:
+        events = reader.read()
+    except FileNotFoundError:
+        events = []
+    for event in events:
+        aggregator.handle(event)
+    snap = aggregator.snapshot()
+    snap["header"] = reader.header
+    return snap
 
 
 def watch_snapshot(path, aggregator: LiveAggregator | None = None) -> dict:
     """Fold a whole trace into a live snapshot (the one-shot path)."""
     aggregator = aggregator if aggregator is not None else LiveAggregator()
-    tail = _TraceTail(path)
-    for event in tail.poll():
-        aggregator.handle(event)
-    snap = aggregator.snapshot()
-    snap["header"] = tail.header
-    return snap
+    return _fold(TraceReader(path), aggregator)
 
 
 def _bar(fraction: float, width: int = 24) -> str:
@@ -109,17 +65,7 @@ def render_watch(snap: dict, path=None) -> str:
     header = snap.get("header") or {}
     run = header.get("run") or {}
     if run:
-        bits = []
-        if run.get("driver"):
-            bits.append(str(run["driver"]))
-        if run.get("backend"):
-            bits.append(
-                f"backend {run['backend']}"
-                + (f" x{run['workers']}" if run.get("workers") else "")
-            )
-        if run.get("population"):
-            bits.append(f"{len(run['population'])} trainers")
-        out.append("run: " + ", ".join(bits))
+        out.append("run: " + ", ".join(run_bits(run)))
     rounds_total = snap.get("rounds_total") or run.get("rounds")
     round_index = snap.get("round")
     if round_index is not None:
@@ -279,30 +225,22 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     aggregator = LiveAggregator()
-    tail = _TraceTail(args.trace)
-
-    def render_once() -> None:
-        for event in tail.poll():
-            aggregator.handle(event)
-        snap = aggregator.snapshot()
-        snap["header"] = tail.header
-        if args.json:
-            print(json.dumps(snap, indent=2))
-        else:
-            print(render_watch(snap, path=args.trace))
-
-    if not args.follow:
-        render_once()
-        return 0
+    reader = TraceReader(args.trace)
     refreshes = 0
     try:
         while True:
-            # ANSI clear + home keeps the snapshot in place like top(1).
-            sys.stdout.write("\x1b[2J\x1b[H")
-            render_once()
+            if args.follow:
+                # ANSI clear + home keeps the snapshot in place like top(1).
+                sys.stdout.write("\x1b[2J\x1b[H")
+            snap = _fold(reader, aggregator)
+            print(
+                json.dumps(snap, indent=2)
+                if args.json
+                else render_watch(snap, path=args.trace)
+            )
             sys.stdout.flush()
             refreshes += 1
-            if (
+            if not args.follow or (
                 args.max_refreshes is not None
                 and refreshes >= args.max_refreshes
             ):
@@ -310,6 +248,9 @@ def main(argv=None) -> int:
             time.sleep(args.interval)
     except KeyboardInterrupt:
         pass
+    except (OSError, ValueError) as exc:
+        print(f"watch: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

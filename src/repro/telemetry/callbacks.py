@@ -14,6 +14,7 @@ import enum
 import json
 import math
 import sys
+import time
 from typing import IO, Mapping
 
 import numpy as np
@@ -82,6 +83,29 @@ def _jsonify(value):
     return value
 
 
+def _event_record(event: TelemetryEvent) -> dict:
+    """One event as trace lines and flight-recorder bundles store it:
+    type, time (to the nanosecond), sequence, then the payload."""
+    return {
+        "type": event.type,
+        "time_s": round(event.time_s, 9),
+        "sequence": event.sequence,
+        **_jsonify(event.payload),
+    }
+
+
+def _run_metadata(driver) -> dict:
+    """The run description trace headers and flight-recorder bundles
+    carry: driver class, rounds, population, backend and worker count."""
+    return {
+        "driver": type(driver).__name__,
+        "rounds": getattr(driver.config, "rounds", None),
+        "population": [t.name for t in driver.trainers],
+        "backend": driver.backend.name,
+        "workers": driver.backend.num_workers,
+    }
+
+
 class JsonlTraceWriter(Callback):
     """Writes one JSON object per event to a trace file.
 
@@ -122,18 +146,13 @@ class JsonlTraceWriter(Callback):
         self.events_written = 0
         self._mode = "w"
         self._run_meta: dict = {}
+        self._clock_origin: float | None = None
 
     def on_run_begin(self, driver) -> None:
         # Captured for the header; harmless if the file already opened
         # (events before run_begin only happen outside driver runs).
-        self._run_meta = {
-            "driver": type(driver).__name__,
-            "rounds": getattr(driver.config, "rounds", None),
-            "population": [t.name for t in driver.trainers],
-            "backend": driver.backend.name,
-            "workers": driver.backend.num_workers,
-            "clock_origin_unix": driver.telemetry.wall_origin,
-        }
+        self._run_meta = _run_metadata(driver)
+        self._clock_origin = driver.telemetry.wall_origin
 
     def _file(self) -> IO[str]:
         if self._fh is None:
@@ -147,26 +166,17 @@ class JsonlTraceWriter(Callback):
         return self._fh
 
     def _write_header(self) -> None:
-        import time as _time
-
-        meta = dict(self._run_meta)
         header = {
             "type": "trace_header",
             "version": self.SCHEMA_VERSION,
-            "created_unix": _time.time(),
-            "clock_origin_unix": meta.pop("clock_origin_unix", None),
-            "run": {**meta, **_jsonify(self.metadata)},
+            "created_unix": time.time(),
+            "clock_origin_unix": self._clock_origin,
+            "run": {**self._run_meta, **_jsonify(self.metadata)},
         }
         self._fh.write(json.dumps(header) + "\n")
 
     def on_event(self, event: TelemetryEvent) -> None:
-        record = {
-            "type": event.type,
-            "time_s": round(event.time_s, 9),
-            "sequence": event.sequence,
-        }
-        record.update(_jsonify(event.payload))
-        self._file().write(json.dumps(record) + "\n")
+        self._file().write(json.dumps(_event_record(event)) + "\n")
         self.events_written += 1
 
     def on_run_end(self, driver, history) -> None:

@@ -33,6 +33,7 @@ import json
 from typing import Iterable
 
 from repro.telemetry.events import ALERT, RESOURCE_SAMPLE, SPAN, TelemetryEvent
+from repro.telemetry.report import read_trace
 
 __all__ = ["chrome_trace", "export_chrome_trace"]
 
@@ -52,7 +53,7 @@ def chrome_trace(
     """Build the ``trace_event`` JSON document from loaded trace events.
 
     ``header`` is the optional ``trace_header`` record of the source
-    trace (see :func:`~repro.telemetry.report.load_trace_header`); it is
+    trace (see :func:`~repro.telemetry.report.read_trace`); it is
     carried through under ``otherData`` for provenance.
     """
     spans = [e for e in events if e.type == SPAN]
@@ -175,10 +176,7 @@ def export_chrome_trace(trace_path, out_path) -> dict:
     run was not traced (pass a spans-enabled ``JsonlTraceWriter`` /
     ``--trace-out``).
     """
-    from repro.telemetry.report import load_trace, load_trace_header
-
-    events = load_trace(trace_path)
-    header = load_trace_header(trace_path)
+    header, events = read_trace(trace_path)
     if not any(e.type == SPAN for e in events):
         raise ValueError(
             f"{trace_path}: no span records; the run was not traced "

@@ -52,15 +52,18 @@ admitted alerts are
 
 ``alert`` events from other producers (the surrogate server's admission
 warnings) are admitted through the same engine when they share the hub.
-The whole thing is O(window) memory regardless of run length, which is
-what lets it sit on a streamed campaign that never ends.
+It is also the run's one state fold: per-trainer probe quality, the
+pairing census and per-source resource rows, which ``trace-report``
+reads too.  Memory is bounded by the window and the population, never by
+run length, which is what lets it sit on a streamed campaign that never
+ends.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from collections import deque
+from collections import Counter, deque
 
 from repro.telemetry.callbacks import Callback
 from repro.telemetry.events import ALERT, TelemetryEvent
@@ -182,13 +185,21 @@ class LiveAggregator(Callback):
             maxlen=int(collapse_window)
         )
         self._round_wins: dict[str | None, dict[str, int]] = {}
-        # Quality-collapse state: per trainer, the best (lowest) probed
-        # divergence, how many probe points have landed, and the mean
-        # loss recorded when that floor was set, so a detection can say
-        # whether the loss still looked healthy.
-        self._div_floor: dict[str, float] = {}
-        self._div_points: dict[str, int] = {}
+        # Probe quality: per trainer the ``last`` and ``best`` (lowest)
+        # finite primary-metric reading and its ``points``, plus the mean
+        # loss when the best was set (did the loss still look healthy?).
+        self.probes = 0
+        self.quality: dict[str, dict] = {}
         self._loss_at_floor: dict[str, float] = {}
+        # Pairing census: events per topology, pairings, distinct pairs,
+        # byes per trainer, each trainer's distinct partners.
+        self._topologies: Counter = Counter()
+        self._pairs = 0
+        self._unique_pairs: set[frozenset] = set()
+        self._bye_counts: Counter = Counter()
+        self._partners: dict[str, set[str]] = {}
+        # Per-source rows: byte fields are maxima, CPU the last reading.
+        self.resources: dict[str, dict] = {}
         self._hub = None
         self._history = None
         self._emitting = False
@@ -309,6 +320,27 @@ class LiveAggregator(Callback):
             "pairs": [list(pair) for pair in (p.get("pairs") or [])],
             "bye": list(p.get("bye") or []),
         }
+        self._topologies[str(p.get("topology", "?"))] += 1
+        for pair in p.get("pairs") or []:
+            a, b = str(pair[0]), str(pair[1])
+            self._pairs += 1
+            self._unique_pairs.add(frozenset((a, b)))
+            self._partners.setdefault(a, set()).add(b)
+            self._partners.setdefault(b, set()).add(a)
+        for name in p.get("bye") or []:
+            self._bye_counts[str(name)] += 1
+
+    def on_resource_sample(self, event: TelemetryEvent) -> None:
+        p = event.payload
+        row = self.resources.setdefault(str(p.get("source", "process")), {
+            "samples": 0, "rss_bytes": 0, "peak_rss_bytes": 0,
+            "cpu_user_s": 0.0, "cpu_system_s": 0.0,
+        })
+        row["samples"] += 1
+        for key in ("rss_bytes", "peak_rss_bytes"):
+            row[key] = max(row[key], int(p.get(key, 0)))
+        for key in ("cpu_user_s", "cpu_system_s"):
+            row[key] = float(p.get(key, row[key]))
 
     def on_ingest(self, event: TelemetryEvent) -> None:
         p = event.payload
@@ -362,14 +394,9 @@ class LiveAggregator(Callback):
             "wait_s": p.get("wait_s"),
             "version": p.get("version"),
         }
-        if (
-            self.serve_slo_s is not None
-            and len(window) >= self.slo_min_samples
-        ):
-            burn = sum(
-                1 for v in window.values if v > self.serve_slo_s
-            ) / len(window)
-            if burn > self.slo_burn_threshold:
+        if len(window) >= self.slo_min_samples:
+            burn = self._slo_burn()
+            if burn is not None and burn > self.slo_burn_threshold:
                 self._fire(
                     Alert(
                         kind="serve_slo_burn",
@@ -410,9 +437,8 @@ class LiveAggregator(Callback):
                 continue
             value = float(value)
             self.windows["eval_divergence"].push(event.time_s, value)
-            state = self.trainers.setdefault(name, {})
-            state["divergence"] = value
             self._check_quality(name, metric, value, round_index)
+        self.probes += 1
         self.last_quality = {
             "round": round_index,
             "metric": metric,
@@ -422,17 +448,21 @@ class LiveAggregator(Callback):
     def _check_quality(
         self, name: str, metric: str, value: float, round_index: int | None
     ) -> None:
-        loss_now = _mean_loss(self.trainers[name].get("losses"))
-        self._div_points[name] = self._div_points.get(name, 0) + 1
-        floor = self._div_floor.get(name)
-        if floor is None or value < floor:
-            self._div_floor[name] = value
+        loss_now = _mean_loss(self.trainers.setdefault(name, {}).get("losses"))
+        row = self.quality.setdefault(
+            name, {"last": value, "best": math.inf, "points": 0}
+        )
+        row["last"] = value
+        row["points"] += 1
+        floor = row["best"]
+        if value < floor:
+            row["best"] = value
             if loss_now is not None:
                 self._loss_at_floor[name] = loss_now
             return
         limit = self.quality_factor * floor
         if (
-            self._div_points[name] <= self.quality_min_points
+            row["points"] <= self.quality_min_points
             or floor <= 0
             or value <= limit
         ):
@@ -547,13 +577,15 @@ class LiveAggregator(Callback):
 
     def snapshot(self) -> dict:
         """One JSON-encodable view of run health *right now* — what the
-        watch CLI renders and the serve status endpoint returns."""
+        watch CLI renders and the serve status endpoint returns; its
+        ``pairings``/``eval``/``resources`` are ``trace-report``'s."""
+        trainers = {name: dict(state) for name, state in self.trainers.items()}
+        for name, row in self.quality.items():
+            trainers.setdefault(name, {})["divergence"] = row["last"]
         return {
             "round": self.round_index,
             "rounds_total": self.rounds_total,
-            "trainers": {
-                name: dict(state) for name, state in self.trainers.items()
-            },
+            "trainers": trainers,
             "windows": {
                 name: window.snapshot()
                 for name, window in self.windows.items()
@@ -576,21 +608,55 @@ class LiveAggregator(Callback):
                 "adoptions": self.adoptions,
             },
             "alerts": self.engine.snapshot(),
+            "pairings": self._pairings_snapshot(),
+            "eval": self._eval_snapshot(),
+            "resources": {
+                source: dict(row) for source, row in self.resources.items()
+            },
+        }
+
+    def _pairings_snapshot(self) -> dict | None:
+        # ``partners`` is the mixing diagnostic: 2 per trainer under a
+        # ring, climbing toward k-1 under random pairing.
+        if not self._topologies:
+            return None
+        return {
+            "rounds": sum(self._topologies.values()),
+            "topologies": dict(self._topologies),
+            "pairs": self._pairs,
+            "unique_pairs": len(self._unique_pairs),
+            "byes": sum(self._bye_counts.values()),
+            "bye_counts": dict(self._bye_counts),
+            "partners": {
+                name: len(met) for name, met in sorted(self._partners.items())
+            },
+        }
+
+    def _eval_snapshot(self) -> dict | None:
+        if not self.probes:
+            return None
+        return {
+            "probes": self.probes,
+            "metric": self.last_quality["metric"],
+            "last_round": self.last_quality["round"],
+            "trainers": {name: dict(row) for name, row in self.quality.items()},
         }
 
     def _serve_snapshot(self) -> dict | None:
         window = self.windows["serve_latency_s"]
         if not window and self.last_serve is None:
             return None
-        burn = None
-        if self.serve_slo_s is not None and len(window):
-            burn = sum(
-                1 for v in window.values if v > self.serve_slo_s
-            ) / len(window)
         return {
             "last": self.last_serve,
             "latency": window.snapshot() if len(window) else None,
             "queue_depth": self.windows["serve_queue_depth"].last,
             "slo_s": self.serve_slo_s,
-            "slo_burn": burn,
+            "slo_burn": self._slo_burn(),
         }
+
+    def _slo_burn(self) -> float | None:
+        """Share of the windowed micro-batch latencies over the SLO."""
+        window = self.windows["serve_latency_s"]
+        if self.serve_slo_s is None or not len(window):
+            return None
+        return sum(1 for v in window.values if v > self.serve_slo_s) / len(window)

@@ -20,7 +20,7 @@ import time
 from collections import deque
 from pathlib import Path
 
-from repro.telemetry.callbacks import Callback, _jsonify
+from repro.telemetry.callbacks import Callback, _event_record, _run_metadata
 from repro.telemetry.events import TelemetryEvent
 
 __all__ = ["FlightRecorder", "SUBSYSTEM_OF", "load_bundle"]
@@ -98,12 +98,7 @@ class FlightRecorder(Callback):
         if event.type == "span" and not self.record_spans:
             return
         subsystem = SUBSYSTEM_OF.get(event.type, "other")
-        record = {
-            "type": event.type,
-            "time_s": round(event.time_s, 9),
-            "sequence": event.sequence,
-            **_jsonify(event.payload),
-        }
+        record = _event_record(event)
         with self._lock:
             ring = self.rings.get(subsystem)
             if ring is None:
@@ -120,13 +115,7 @@ class FlightRecorder(Callback):
     # -- lifecycle + triggers ------------------------------------------------
 
     def on_run_begin(self, driver) -> None:
-        self._run_meta = {
-            "driver": type(driver).__name__,
-            "rounds": getattr(driver.config, "rounds", None),
-            "population": [t.name for t in driver.trainers],
-            "backend": driver.backend.name,
-            "workers": driver.backend.num_workers,
-        }
+        self._run_meta = _run_metadata(driver)
         if (
             "sigterm" in self.dump_on
             and threading.current_thread() is threading.main_thread()

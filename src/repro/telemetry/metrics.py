@@ -18,8 +18,8 @@ stream, the same code live and offline:
   ``trace-report`` derives its phase, counter, ingest and percentile
   sections from.
 
-The windowed, alerting fold is the live plane's
-(:class:`~repro.telemetry.live.LiveAggregator`), beside this one.
+The run's state — windows, alerts, probe quality, pairings, resources
+— is the other fold, :class:`~repro.telemetry.live.LiveAggregator`.
 """
 
 from __future__ import annotations

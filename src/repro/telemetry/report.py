@@ -1,13 +1,16 @@
-"""Offline trace analysis: summarize a JSONL telemetry trace.
+"""Trace reading and the offline trace report.
 
-The counterpart of :class:`~repro.telemetry.callbacks.JsonlTraceWriter`:
-reads a trace back, folds it once through the same
-:class:`~repro.telemetry.metrics.MetricsCollector` a live run attaches,
-and renders the run-level summary the paper's figures are built from —
-per-phase wall-clock, tournament adoption rate, exchange traffic,
-datastore fetch locality, data-pipeline stall vs. overlap, and (for
-traces recorded under a parallel execution backend) per-worker
-train-time and stall attribution.
+The counterpart of :class:`~repro.telemetry.callbacks.JsonlTraceWriter`.
+:class:`TraceReader` is the one JSONL trace parser: ``trace-report``,
+``trace-export`` and ``python -m repro.telemetry watch`` all read through
+it.  :func:`trace_summary` folds a trace once through the same
+:class:`~repro.telemetry.metrics.MetricsCollector` (additive) and
+:class:`~repro.telemetry.live.LiveAggregator` (state) a live run
+attaches, and renders the run-level summary the paper's figures are built
+from — per-phase wall-clock, tournament adoption rate, exchange traffic,
+datastore fetch locality, data-pipeline stall vs. overlap, (for traces
+recorded under a parallel execution backend) per-worker train-time and
+stall attribution, the pairing census, probe quality and resources.
 
 Exposed on the command line as::
 
@@ -17,27 +20,20 @@ Exposed on the command line as::
 from __future__ import annotations
 
 import json
-import math
-from typing import Iterable
+from collections import Counter
 
 from repro.telemetry.callbacks import JsonlTraceWriter
-from repro.telemetry.events import (
-    ALERT,
-    EVAL,
-    EVENT_TYPES,
-    PAIRING,
-    SPAN,
-    TelemetryEvent,
-)
+from repro.telemetry.events import ALERT, EVENT_TYPES, SPAN, TelemetryEvent
+from repro.telemetry.live import LiveAggregator
 from repro.telemetry.metrics import MetricsCollector, MetricsRegistry, collect_metrics
-from repro.telemetry.resources import summarize_resources
 from repro.utils.units import format_bytes, format_time
 
 __all__ = [
+    "TraceReader",
+    "read_trace",
     "load_trace",
     "load_trace_header",
-    "summarize_pairings",
-    "summarize_eval",
+    "run_bits",
     "trace_summary",
     "render_trace_report",
 ]
@@ -46,167 +42,109 @@ __all__ = [
 SUPPORTED_TRACE_VERSIONS = frozenset({JsonlTraceWriter.SCHEMA_VERSION})
 
 
-def _parse_trace(path) -> tuple[dict | None, list[TelemetryEvent]]:
-    """Parse a JSONL trace into its (optional) header and events.
+class TraceReader:
+    """Incremental, validating JSONL trace reader.
 
-    The header record — ``{"type": "trace_header", ...}`` — is valid only
-    as the first non-blank line and must carry a supported ``version``;
-    headerless (version-1) traces load fine.  Blank lines are skipped;
-    malformed JSON, misplaced headers, and unknown event types raise
-    ``ValueError`` with the offending line number.
+    Each :meth:`read` returns the events appended since the previous one,
+    reading on from a byte offset.  The ``trace_header`` record is valid
+    only as the first non-blank line, must carry a supported ``version``
+    and lands in :attr:`header` (headerless version-1 traces read fine).
+    Blank lines are skipped; malformed JSON, misplaced headers and unknown
+    event types raise ``ValueError`` naming ``path:line``.
     """
-    header: dict | None = None
-    events: list[TelemetryEvent] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        first = True
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: not valid JSON: {exc}") from None
-            event_type = record.pop("type", None)
-            if event_type == "trace_header":
-                if not first:
-                    raise ValueError(
-                        f"{path}:{lineno}: trace_header is only valid as "
-                        f"the first record"
-                    )
-                version = record.get("version")
-                if version not in SUPPORTED_TRACE_VERSIONS:
-                    raise ValueError(
-                        f"{path}:{lineno}: unsupported trace schema version "
-                        f"{version!r} (supported: "
-                        f"{sorted(SUPPORTED_TRACE_VERSIONS)})"
-                    )
-                header = record
-                first = False
-                continue
-            first = False
-            if event_type not in EVENT_TYPES:
+
+    def __init__(self, path) -> None:
+        self.path = path
+        self.header: dict | None = None
+        self._offset = 0
+        self._lineno = 0
+        self._events = 0
+
+    def read(self, final: bool = False) -> list[TelemetryEvent]:
+        """Parse the lines appended since the last read.  An unterminated
+        last line (the writer may be mid-append) is left for the next
+        read unless ``final`` says the trace is complete."""
+        events: list[TelemetryEvent] = []
+        with open(self.path, "rb") as fh:
+            fh.seek(self._offset)
+            for raw in fh:
+                if not (final or raw.endswith(b"\n")):
+                    break
+                self._offset += len(raw)
+                self._lineno += 1
+                if raw.strip():
+                    event = self._parse(raw, f"{self.path}:{self._lineno}")
+                    if event is not None:
+                        events.append(event)
+        return events
+
+    def _parse(self, line: bytes, where: str) -> TelemetryEvent | None:
+        """One non-blank line: the event, or ``None`` for the header."""
+        try:
+            record = json.loads(line)
+        except ValueError as exc:
+            raise ValueError(f"{where}: not valid JSON: {exc}") from None
+        if not isinstance(record, dict):
+            raise ValueError(f"{where}: not a JSON object")
+        event_type = record.pop("type", None)
+        if event_type == "trace_header":
+            if self._events or self.header is not None:
                 raise ValueError(
-                    f"{path}:{lineno}: unknown event type {event_type!r}"
+                    f"{where}: trace_header is only valid as the first record"
                 )
-            events.append(
-                TelemetryEvent(
-                    type=event_type,
-                    time_s=float(record.pop("time_s", 0.0)),
-                    sequence=int(record.pop("sequence", len(events))),
-                    payload=record,
+            version = record.get("version")
+            if version not in SUPPORTED_TRACE_VERSIONS:
+                raise ValueError(
+                    f"{where}: unsupported trace schema version {version!r} "
+                    f"(supported: {sorted(SUPPORTED_TRACE_VERSIONS)})"
                 )
-            )
-    return header, events
+            self.header = record
+            return None
+        if event_type not in EVENT_TYPES:
+            raise ValueError(f"{where}: unknown event type {event_type!r}")
+        self._events += 1
+        return TelemetryEvent(
+            type=event_type,
+            time_s=float(record.pop("time_s", 0.0)),
+            sequence=int(record.pop("sequence", self._events - 1)),
+            payload=record,
+        )
+
+
+def read_trace(path) -> tuple[dict | None, list[TelemetryEvent]]:
+    """Parse a whole trace once: its validated header (``None`` for
+    headerless traces) and its events."""
+    reader = TraceReader(path)
+    events = reader.read(final=True)
+    return reader.header, events
 
 
 def load_trace(path) -> list[TelemetryEvent]:
     """Parse a JSONL trace file back into events (header validated and
     skipped; see :func:`load_trace_header` to read it)."""
-    return _parse_trace(path)[1]
+    return read_trace(path)[1]
 
 
 def load_trace_header(path) -> dict | None:
     """The validated ``trace_header`` record of a trace, or ``None`` for
     headerless (pre-version-2) traces."""
-    return _parse_trace(path)[0]
+    return read_trace(path)[0]
 
 
-def summarize_pairings(events: Iterable[TelemetryEvent]) -> dict | None:
-    """Aggregate the trace's ``pairing`` events: who met whom under which
-    topology.  Returns ``None`` when the trace has no pairing events.
-
-    Keys: ``rounds`` (pairing events seen), ``topologies`` (name -> event
-    count), ``pairs`` (total pairings), ``unique_pairs`` (distinct
-    unordered trainer pairs), ``byes`` (total sit-outs, with
-    ``bye_counts`` per trainer), and ``partners`` (trainer -> number of
-    distinct partners met across the run — the mixing diagnostic: under a
-    ring it stays at 2, under random pairing it climbs toward k-1).
-    """
-    rounds = 0
-    topologies: dict[str, int] = {}
-    total_pairs = 0
-    unique_pairs: set[frozenset] = set()
-    byes = 0
-    bye_counts: dict[str, int] = {}
-    partners: dict[str, set] = {}
-    for event in events:
-        if event.type != PAIRING:
-            continue
-        rounds += 1
-        p = event.payload
-        topology = str(p.get("topology", "?"))
-        topologies[topology] = topologies.get(topology, 0) + 1
-        for pair in p.get("pairs") or []:
-            a, b = str(pair[0]), str(pair[1])
-            total_pairs += 1
-            unique_pairs.add(frozenset((a, b)))
-            partners.setdefault(a, set()).add(b)
-            partners.setdefault(b, set()).add(a)
-        for name in p.get("bye") or []:
-            byes += 1
-            bye_counts[str(name)] = bye_counts.get(str(name), 0) + 1
-    if not rounds:
-        return None
-    return {
-        "rounds": rounds,
-        "topologies": topologies,
-        "pairs": total_pairs,
-        "unique_pairs": len(unique_pairs),
-        "byes": byes,
-        "bye_counts": bye_counts,
-        "partners": {
-            name: len(met) for name, met in sorted(partners.items())
-        },
-    }
-
-
-def summarize_eval(events: Iterable[TelemetryEvent]) -> dict | None:
-    """Aggregate the trace's quality-probe ``eval`` events (the ones
-    carrying a ``divergence`` payload; driver eval snapshots, which carry
-    ``metrics``, are not part of this section).  Returns ``None`` when the
-    trace has no probe events.
-
-    Keys: ``probes`` (probe passes seen), ``metric`` (the probe's primary
-    divergence), ``last_round``, and per-trainer ``trainers`` rows with
-    the ``last`` and ``best`` (lowest) primary-metric reading plus the
-    number of ``points`` folded — the offline counterpart of the live
-    plane's ``quality`` snapshot section.  Non-finite readings are
-    skipped, as the live fold skips them.
-    """
-    probes = 0
-    metric = None
-    last_round = None
-    trainers: dict[str, dict] = {}
-    for event in events:
-        if event.type != EVAL:
-            continue
-        p = event.payload
-        divergence = p.get("divergence")
-        if not divergence:
-            continue
-        probes += 1
-        metric = str(p.get("metric", metric or "js"))
-        last_round = p.get("round", last_round)
-        for name, values in divergence.items():
-            value = (values or {}).get(metric)
-            if value is None or not math.isfinite(float(value)):
-                continue
-            value = float(value)
-            row = trainers.setdefault(
-                str(name), {"last": value, "best": value, "points": 0}
-            )
-            row["last"] = value
-            row["best"] = min(row["best"], value)
-            row["points"] += 1
-    if not probes:
-        return None
-    return {
-        "probes": probes,
-        "metric": metric,
-        "last_round": last_round,
-        "trainers": trainers,
-    }
+def run_bits(run: dict) -> list[str]:
+    """The trace header's ``run`` metadata as short phrases, shared by
+    the report's ``header:`` line and the watch surface's ``run:`` line."""
+    bits = []
+    if run.get("driver"):
+        bits.append(str(run["driver"]))
+    if run.get("backend"):
+        bits.append(
+            f"backend {run['backend']}"
+            + (f" x{run['workers']}" if run.get("workers") else "")
+        )
+    if run.get("population"):
+        bits.append(f"{len(run['population'])} trainers")
+    return bits
 
 
 def _ratio(part, whole) -> float:
@@ -324,10 +262,12 @@ def trace_summary(path) -> dict:
     """Machine-readable trace summary: every section of the text report
     as one JSON-encodable dict (``trace-report --format json``).
 
-    The trace is parsed once and folded once, by
-    :func:`~repro.telemetry.metrics.collect_metrics`; ``phases``,
-    ``counters``, ``ingest`` and ``percentiles`` are read off that
-    registry.  Stable shape: ``header`` (the validated trace header or
+    The trace is parsed once and folded twice: by
+    :func:`~repro.telemetry.metrics.collect_metrics`, whose registry gives
+    ``phases``, ``counters``, ``ingest`` and ``percentiles``, and by a
+    :class:`~repro.telemetry.live.LiveAggregator`, whose snapshot gives
+    ``pairings``, ``eval`` and ``resources`` — the state ``watch``
+    renders.  Stable shape: ``header`` (the validated trace header or
     ``None``), ``events`` (per-type census), ``phases`` (wall-clock
     totals plus ``total``/``rounds``), ``counters`` (run counters and
     derived rates, per-worker keys included), ``percentiles`` (histogram
@@ -338,11 +278,13 @@ def trace_summary(path) -> dict:
     payloads) and ``spans`` (count + track census, ``None`` for untraced
     runs).
     """
-    header, events = _parse_trace(path)
+    header, events = read_trace(path)
     registry = collect_metrics(events)
-    census: dict[str, int] = {}
+    live = LiveAggregator()
     for event in events:
-        census[event.type] = census.get(event.type, 0) + 1
+        live.handle(event)
+    state = live.snapshot()
+    census = dict(Counter(event.type for event in events))
     percentiles = {
         name: registry[name].to_json()
         for _, name, _ in _PERCENTILE_ROWS
@@ -361,10 +303,10 @@ def trace_summary(path) -> dict:
         "phases": _phases(registry),
         "counters": _counters(registry),
         "percentiles": percentiles,
-        "pairings": summarize_pairings(events),
+        "pairings": state["pairings"],
         "ingest": _ingest(registry),
-        "eval": summarize_eval(events),
-        "resources": summarize_resources(events),
+        "eval": state["eval"],
+        "resources": state["resources"],
         "health": [dict(e.payload) for e in events if e.type == ALERT],
         "spans": spans,
     }
@@ -389,17 +331,8 @@ def render_trace_report(path) -> str:
     header, census, phases = doc["header"], doc["events"], doc["phases"]
     out = [f"== telemetry trace report: {path} =="]
     if header is not None:
-        run = header.get("run") or {}
         bits = [f"schema v{header.get('version')}"]
-        if run.get("driver"):
-            bits.append(str(run["driver"]))
-        if run.get("backend"):
-            bits.append(
-                f"backend {run['backend']}"
-                + (f" x{run['workers']}" if run.get("workers") else "")
-            )
-        if run.get("population"):
-            bits.append(f"{len(run['population'])} trainers")
+        bits += run_bits(header.get("run") or {})
         out.append("header: " + ", ".join(bits))
     out.append(f"events: {sum(census.values())}")
     for event_type in sorted(census):
@@ -525,7 +458,16 @@ def render_trace_report(path) -> str:
                 f"over {row['points']} point"
                 f"{'s' if row['points'] != 1 else ''}"
             )
-    out.extend(_render_percentiles(doc["percentiles"]))
+    if doc["percentiles"]:
+        out.append("latency/size percentiles:")
+    for label, name, unit in _PERCENTILE_ROWS:
+        hist = doc["percentiles"].get(name)
+        if hist is not None:
+            out.append(
+                f"  {label}: n={hist['count']} mean={hist['mean']:.4g}{unit} "
+                f"p50={hist['p50']:.4g}{unit} p95={hist['p95']:.4g}{unit} "
+                f"p99={hist['p99']:.4g}{unit}"
+            )
     resources = doc["resources"]
     if resources:
         out.append("resources:")
@@ -551,20 +493,3 @@ def render_trace_report(path) -> str:
             f"(convert with: python -m repro.experiments trace-export {path})"
         )
     return "\n".join(out)
-
-
-def _render_percentiles(percentiles: dict) -> list[str]:
-    """Latency-percentile table lines from the ``percentiles`` section."""
-    lines: list[str] = []
-    for label, name, unit in _PERCENTILE_ROWS:
-        hist = percentiles.get(name)
-        if hist is None:
-            continue
-        lines.append(
-            f"  {label}: n={hist['count']} mean={hist['mean']:.4g}{unit} "
-            f"p50={hist['p50']:.4g}{unit} p95={hist['p95']:.4g}{unit} "
-            f"p99={hist['p99']:.4g}{unit}"
-        )
-    if lines:
-        lines.insert(0, "latency/size percentiles:")
-    return lines

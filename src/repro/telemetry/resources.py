@@ -14,9 +14,9 @@ This module closes that gap with one cheap primitive and one callback:
   Callback` that emits a :data:`~repro.telemetry.events.RESOURCE_SAMPLE`
   event at run begin, after every ``every_rounds``-th round, and at run
   end.  Attach it alongside a :class:`~repro.telemetry.metrics.
-  MetricsCollector` and the samples land as gauges in the registry; write
-  the trace and they surface as a resources section in ``trace-report``
-  and counter tracks in the Perfetto export.
+  MetricsCollector` and the samples land as gauges in the registry; a
+  :class:`~repro.telemetry.live.LiveAggregator` keeps per-source rows
+  (``trace-report``'s resources); ``trace-export`` draws counter tracks.
 
 Execution backends emit the same event from wherever trainer work runs:
 the serial and thread backends sample the driver process once per train
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import os
 import sys
-from typing import Mapping
 
 from repro.telemetry.callbacks import Callback
 from repro.telemetry.events import RESOURCE_SAMPLE
@@ -45,7 +44,6 @@ except ImportError:  # pragma: no cover - windows
 __all__ = [
     "sample_resources",
     "emit_resource_sample",
-    "summarize_resources",
     "ResourceSampler",
 ]
 
@@ -100,39 +98,6 @@ def emit_resource_sample(sink, *, source: str, **context) -> None:
     if getattr(sink, "active", True) is False:
         return  # hub with no subscribers: skip the syscalls too
     sink.emit(RESOURCE_SAMPLE, source=source, **context, **sample_resources())
-
-
-def summarize_resources(events) -> dict[str, dict]:
-    """Fold ``resource_sample`` events into one summary row per source.
-
-    Returns ``{source: {samples, rss_bytes, peak_rss_bytes, cpu_user_s,
-    cpu_system_s}}`` where byte fields are maxima over the source's
-    samples and CPU fields are the last (cumulative) reading.
-    """
-    out: dict[str, dict] = {}
-    for event in events:
-        if event.type != RESOURCE_SAMPLE:
-            continue
-        p: Mapping = event.payload
-        source = str(p.get("source", "process"))
-        row = out.setdefault(
-            source,
-            {
-                "samples": 0,
-                "rss_bytes": 0,
-                "peak_rss_bytes": 0,
-                "cpu_user_s": 0.0,
-                "cpu_system_s": 0.0,
-            },
-        )
-        row["samples"] += 1
-        row["rss_bytes"] = max(row["rss_bytes"], int(p.get("rss_bytes", 0)))
-        row["peak_rss_bytes"] = max(
-            row["peak_rss_bytes"], int(p.get("peak_rss_bytes", 0))
-        )
-        row["cpu_user_s"] = float(p.get("cpu_user_s", row["cpu_user_s"]))
-        row["cpu_system_s"] = float(p.get("cpu_system_s", row["cpu_system_s"]))
-    return out
 
 
 class ResourceSampler(Callback):

@@ -560,13 +560,14 @@ class TestLiveAggregatorQualityCollapse:
 
 class TestEvalReporting:
     def test_summarize_eval(self):
-        from repro.telemetry.report import summarize_eval
-
         events = [
             _eval_event(0, {"t0": {"js": 0.3}, "t1": {"js": 0.5}}),
             _eval_event(1, {"t0": {"js": 0.2}, "t1": {"js": 0.6}}),
         ]
-        agg = summarize_eval(events)
+        live = LiveAggregator()
+        for event in events:
+            live.handle(event)
+        agg = live.snapshot()["eval"]
         assert agg["probes"] == 2
         assert agg["metric"] == "js"
         assert agg["last_round"] == 1
@@ -575,24 +576,29 @@ class TestEvalReporting:
         }
         assert agg["trainers"]["t1"]["best"] == 0.5
         # Driver eval payloads don't count as probe passes.
-        assert summarize_eval([]) is None
+        assert LiveAggregator().snapshot()["eval"] is None
 
-    def test_summarize_eval_skips_non_finite_readings(self):
-        # A NaN first reading must not pin ``best`` at NaN: the offline
-        # fold skips non-finite readings exactly as the live one does.
-        from repro.telemetry.report import summarize_eval
+    def test_summarize_eval_skips_non_finite_readings(self, tmp_path):
+        # A NaN first reading must not pin ``best`` at NaN: the report
+        # reads the same quality rows the live fold keeps.
+        from repro.telemetry.callbacks import JsonlTraceWriter
+        from repro.telemetry.report import trace_summary
 
         events = [
             _eval_event(r, {"t0": {"js": value}})
             for r, value in enumerate([float("nan"), 0.5, 0.4])
         ]
-        agg = summarize_eval(events)
+        path = tmp_path / "trace.jsonl"
+        with JsonlTraceWriter(path) as writer:
+            for event in events:
+                writer.handle(event)
+        agg = trace_summary(path)["eval"]
         assert agg["trainers"]["t0"] == {"last": 0.4, "best": 0.4, "points": 2}
         live = LiveAggregator()
         for event in events:
             live.handle(event)
-        assert live._div_floor["t0"] == agg["trainers"]["t0"]["best"]
-        assert live._div_points["t0"] == agg["trainers"]["t0"]["points"]
+        assert live.quality["t0"]["best"] == agg["trainers"]["t0"]["best"]
+        assert live.quality["t0"]["points"] == agg["trainers"]["t0"]["points"]
 
     def test_trace_report_renders_quality_section(self, tmp_path):
         from repro.telemetry.callbacks import JsonlTraceWriter

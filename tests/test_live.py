@@ -252,6 +252,36 @@ class TestLiveAggregator:
         assert snap["pairing"]["pairs"] == [["t0", "t1"]]
         assert "step_time_s" in snap["windows"]
 
+    def test_cumulative_state_is_bounded_by_the_population(self):
+        # 500 rounds on k = 4: the pairing census, quality rows and
+        # resource rows grow with the population, not the run.
+        hub = TelemetryHub()
+        agg = LiveAggregator().attach(hub)
+        hub.subscribe(agg)
+        names = ["t0", "t1", "t2", "t3"]
+        rng = np.random.default_rng(0)
+        for r in range(500):
+            a, b, c, d = rng.permutation(names).tolist()
+            topology = "ring" if r % 2 else "random"
+            hub.emit("pairing", topology=topology, round=r,
+                     pairs=[[a, b]], bye=[c, d])
+            hub.emit("eval", round=r, metric="js",
+                     divergence={n: {"js": 0.1 + (r % 7) / 10} for n in names})
+            hub.emit("resource_sample", source=f"worker{r % 2}",
+                     rss_bytes=r, peak_rss_bytes=r, cpu_user_s=r,
+                     cpu_system_s=0.0)
+        census = agg.snapshot()["pairings"]
+        assert census["rounds"] == 500 and census["pairs"] == 500
+        assert census["byes"] == 1000
+        assert census["topologies"] == {"random": 250, "ring": 250}
+        assert len(agg._unique_pairs) <= 6 and census["unique_pairs"] <= 6
+        assert len(agg._partners) <= 4 and len(census["partners"]) <= 4
+        assert len(census["bye_counts"]) <= 4
+        assert sorted(agg.quality) == names
+        assert all(row["points"] == 500 for row in agg.quality.values())
+        assert agg.snapshot()["eval"]["probes"] == 500
+        assert sorted(agg.resources) == ["worker0", "worker1"]
+
 
 def _tiny_driver(tiny_dataset, tiny_spec, tiny_autoencoder, *, seed, backend,
                  rounds=2, steps_per_round=2):
@@ -685,11 +715,7 @@ class TestReportSections:
         ) in lines
 
     def test_sections_absent_without_events(self, tmp_path):
-        from repro.telemetry.report import (
-            render_trace_report,
-            summarize_pairings,
-            trace_summary,
-        )
+        from repro.telemetry.report import render_trace_report, trace_summary
 
         trace = tmp_path / "trace.jsonl"
         hub = TelemetryHub()
@@ -698,7 +724,7 @@ class TestReportSections:
         _steps(hub, 2)
         hub.emit("round_end", round=0, train_s=0.02)
         writer.close()
-        assert summarize_pairings([]) is None
+        assert LiveAggregator().snapshot()["pairings"] is None
         text = render_trace_report(trace)
         assert "pairing:" not in text
         assert "ingest:" not in text
@@ -724,19 +750,19 @@ class TestWatchCli:
         assert "PAUSED" in text
 
     def test_tail_tolerates_partial_line(self, tmp_path):
-        from repro.telemetry.__main__ import _TraceTail
+        from repro.telemetry.report import TraceReader
 
         trace = tmp_path / "trace.jsonl"
         _write_demo_trace(trace, rounds=1)
-        tail = _TraceTail(trace)
-        complete = tail.poll()
+        tail = TraceReader(trace)
+        complete = tail.read()
         assert complete
         with open(trace, "a", encoding="utf-8") as fh:
             fh.write('{"type": "round_end", "time_s": 9.0, "seq')
-        assert tail.poll() == []  # half-written line is left for later
+        assert tail.read() == []  # half-written line is left for later
         with open(trace, "a", encoding="utf-8") as fh:
             fh.write('uence": 99, "round": 1, "train_s": 0.1}\n')
-        more = tail.poll()
+        more = tail.read()
         assert [e.type for e in more] == ["round_end"]
         assert more[0].payload["round"] == 1
 
@@ -757,6 +783,46 @@ class TestWatchCli:
 
         assert main(["watch", str(tmp_path / "nope.jsonl")]) == 0
         assert "alerts: none" in capsys.readouterr().out
+
+    def test_unsupported_schema_version_refused(self, tmp_path, capsys):
+        # A version-2 trace still carried ``health`` events: rendering it
+        # as "alerts: none" would hide its nan_loss.
+        from repro.telemetry.__main__ import main
+
+        trace = tmp_path / "v2.jsonl"
+        trace.write_text(
+            '{"type": "trace_header", "version": 2}\n'
+            '{"type": "health", "time_s": 0.0, "sequence": 0, '
+            '"kind": "nan_loss", "message": "loss is nan"}\n'
+            "not json\n"
+        )
+        for argv in (["watch", str(trace)], ["watch", str(trace), "--json"]):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"watch: {trace}:1: ")
+            assert "unsupported trace schema version 2 (supported: [3])" in (
+                captured.err
+            )
+
+    def test_malformed_complete_line_refused(self, tmp_path, capsys):
+        from repro.telemetry.__main__ import main
+
+        trace = tmp_path / "trace.jsonl"
+        _write_demo_trace(trace, rounds=1)
+        lines = len(trace.read_text().splitlines())
+        with open(trace, "a", encoding="utf-8") as fh:
+            fh.write("not json\n")
+        assert main(["watch", str(trace)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"watch: {trace}:{lines + 1}: not valid JSON"
+        )
+        # --follow refuses it on the first refresh too.
+        assert main(["watch", str(trace), "--follow",
+                     "--max-refreshes", "1", "--interval", "0"]) == 1
+        assert f"{trace}:{lines + 1}: not valid JSON" in capsys.readouterr().err
 
 
 class TestJointObservabilityStreaming:

@@ -31,7 +31,6 @@ from repro.telemetry import (
     load_trace,
     render_trace_report,
     sample_resources,
-    summarize_resources,
     trace_summary,
 )
 from repro.utils.rng import RngFactory
@@ -361,6 +360,10 @@ class TestTraceReportCli:
         unknown.write_text('{"type": "mystery"}\n')
         with pytest.raises(ValueError, match="unknown event type"):
             load_trace(unknown)
+        array = tmp_path / "array.jsonl"
+        array.write_text('{"type": "round_end"}\n[1, 2]\n')
+        with pytest.raises(ValueError, match=r"array.jsonl:2: not a JSON object"):
+            load_trace(array)
 
     def test_json_format_is_machine_readable(
         self, population, val_batch, tmp_path, capsys
@@ -402,10 +405,11 @@ def _ingest(**payload) -> tuple[str, dict]:
 
 
 class TestTraceSummaryGolden:
-    """``trace_summary``'s additive sections pinned on a synthetic stream
-    that carries every field they read — with and without the optional
-    ones.  Compared as JSON text too, so key order and int-vs-float
-    survive (``1 == 1.0`` would hide them)."""
+    """``trace_summary``'s folded sections — the additive ones and the
+    pairing, eval and resource state — pinned on a synthetic stream that
+    carries every field they read, with and without the optional ones.
+    Compared as JSON text too, so key order and int-vs-float survive
+    (``1 == 1.0`` would hide them)."""
 
     EVENTS = [
         ("step_end", dict(trainer="t0", steps=2, elapsed_s=0.5,
@@ -454,6 +458,40 @@ class TestTraceSummaryGolden:
                 channel_occupancy=0.75),
         ("round_end", dict(round=1, train_s=1.25, tournament_s=0.125,
                            exchange_s=0.0625)),
+        # Pairing census: two topologies, a repeated pair (t1-t0 is
+        # t0-t1 unordered) and byes.
+        ("pairing", dict(round=0, topology="ring",
+                         pairs=[["t0", "t1"], ["t2", "old"]], bye=[])),
+        ("pairing", dict(round=1, topology="ring", pairs=[["t1", "t0"]],
+                         bye=["t2"])),
+        ("pairing", dict(round=2, topology="random", pairs=[["t0", "t2"]],
+                         bye=["old", "t2"])),
+        # Quality probes: a non-finite reading is skipped, a trainer
+        # without the primary metric gets no point, and a driver eval
+        # snapshot (``metrics``, no ``divergence``) is not a probe pass.
+        ("eval", dict(round=0, metric="js",
+                      divergence={"t0": {"js": 0.5, "kl": 1.0},
+                                  "t1": {"js": float("nan")}})),
+        ("eval", dict(round=0, metrics={"t0": {"val_loss": 1.0}})),
+        ("eval", dict(round=1, metric="js",
+                      divergence={"t0": {"js": 0.25}, "t1": {"js": 0.75}})),
+        ("eval", dict(round=1, metric="js",
+                      divergence={"t0": {"js": 0.375}, "t1": {"kl": 0.5}})),
+        # Resource samples from two sources, one without CPU fields, and
+        # a pre-source payload.
+        ("resource_sample", dict(source="driver", rss_bytes=1000,
+                                 peak_rss_bytes=2000, cpu_user_s=0.5,
+                                 cpu_system_s=0.25)),
+        ("resource_sample", dict(source="worker0", backend="process",
+                                 worker=0, rss_bytes=4000,
+                                 peak_rss_bytes=4096, cpu_user_s=1.0,
+                                 cpu_system_s=0.125)),
+        ("resource_sample", dict(source="driver", rss_bytes=500,
+                                 peak_rss_bytes=3000, cpu_user_s=0.75,
+                                 cpu_system_s=0.375)),
+        ("resource_sample", dict(source="worker0", rss_bytes=3000,
+                                 peak_rss_bytes=4096)),
+        ("resource_sample", dict(rss_bytes=10, peak_rss_bytes=20)),
     ]
 
     PHASES = {
@@ -508,6 +546,35 @@ class TestTraceSummaryGolden:
         "peak_channel_occupancy": 0.75,
     }
 
+    PAIRINGS = {
+        "rounds": 3,
+        "topologies": {"ring": 2, "random": 1},
+        "pairs": 4,
+        "unique_pairs": 3,
+        "byes": 3,
+        "bye_counts": {"t2": 2, "old": 1},
+        "partners": {"old": 1, "t0": 2, "t1": 1, "t2": 2},
+    }
+
+    EVAL = {
+        "probes": 3,
+        "metric": "js",
+        "last_round": 1,
+        "trainers": {
+            "t0": {"last": 0.375, "best": 0.25, "points": 3},
+            "t1": {"last": 0.75, "best": 0.75, "points": 1},
+        },
+    }
+
+    RESOURCES = {
+        "driver": {"samples": 2, "rss_bytes": 1000, "peak_rss_bytes": 3000,
+                   "cpu_user_s": 0.75, "cpu_system_s": 0.375},
+        "worker0": {"samples": 2, "rss_bytes": 4000, "peak_rss_bytes": 4096,
+                    "cpu_user_s": 1.0, "cpu_system_s": 0.125},
+        "process": {"samples": 1, "rss_bytes": 10, "peak_rss_bytes": 20,
+                    "cpu_user_s": 0.0, "cpu_system_s": 0.0},
+    }
+
     @staticmethod
     def _assert_section(actual, expected) -> None:
         assert actual == expected
@@ -520,6 +587,9 @@ class TestTraceSummaryGolden:
         self._assert_section(summary["phases"], self.PHASES)
         self._assert_section(summary["counters"], self.COUNTERS)
         self._assert_section(summary["ingest"], self.INGEST)
+        self._assert_section(summary["pairings"], self.PAIRINGS)
+        self._assert_section(summary["eval"], self.EVAL)
+        self._assert_section(summary["resources"], self.RESOURCES)
 
     def test_sections_of_an_empty_trace(self, tmp_path):
         trace = tmp_path / "trace.jsonl"
@@ -541,6 +611,9 @@ class TestTraceSummaryGolden:
             "checkpoint_restores": 0, "checkpoint_bytes": 0,
         })
         assert summary["ingest"] is None
+        assert summary["pairings"] is None
+        assert summary["eval"] is None
+        self._assert_section(summary["resources"], {})
 
 
 class TestResourceTelemetry:
@@ -577,6 +650,7 @@ class TestResourceTelemetry:
 
     def test_process_backend_relays_worker_samples(self, population, val_batch):
         from repro.exec import resolve_backend
+        from repro.telemetry import LiveAggregator
 
         driver = LtfbDriver(
             population(k=2),
@@ -586,8 +660,10 @@ class TestResourceTelemetry:
             backend=resolve_backend("process", max_workers=2),
         )
         rec = Recorder()
-        driver.run(callbacks=[rec])
-        summary = summarize_resources(rec.of_type("resource_sample"))
+        live = LiveAggregator()
+        driver.run(callbacks=[rec, live])
+        assert rec.of_type("resource_sample")
+        summary = live.snapshot()["resources"]
         assert {"worker0", "worker1"} <= set(summary)
         for worker in ("worker0", "worker1"):
             row = summary[worker]
