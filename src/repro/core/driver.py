@@ -254,81 +254,62 @@ class PopulationDriver:
 
     def run_round(self, round_index: int) -> None:
         """Advance the population by one round: ingest (when streaming),
-        train, coordinate per the topology, evaluate."""
-        self._ingest_phase(round_index)
-        if self.topology.barrier_free:
-            self._run_async_round(round_index)
-            return
-        train_s = self._train_phase(round_index)
-        tournament_s = exchange_s = 0.0
-        if self.topology.active:
-            t0 = time.perf_counter()
-            with self._phase_span(
-                "tournament", round=round_index, topology=self.topology.name
-            ):
-                exchange_s = self.topology.exchange(self, round_index)
-            tournament_s = time.perf_counter() - t0 - exchange_s
-        eval_s = self._eval_phase(round_index)
-        self._end_round(
-            round_index,
-            train_s=train_s,
-            tournament_s=tournament_s,
-            exchange_s=exchange_s,
-            eval_s=eval_s,
-        )
+        train, coordinate per the topology, evaluate.
 
-    def _run_async_round(self, round_index: int) -> None:
-        """One barrier-free round: tournaments fire *during* the train
-        phase, as soon as both members of a pair have finished their
-        intervals (``backend.train_round_async`` reports readiness).
-
-        The ``pairing`` event is emitted at round end — only then is the
-        realized pairing order known — and tournament events appear in
-        completion order, interleaved with training telemetry.
+        A barrier-free topology holds its tournaments *during* the train
+        phase: the backend reports each trainer as its interval completes,
+        and a pair's tournament runs as soon as both members are ready.
+        Its ``pairing`` event is emitted after the train phase — only then
+        is the realized pairing order known — and its tournament events
+        appear in completion order, interleaved with training telemetry.
         """
         # Deferred import: repro.core.topology imports this module.
         from repro.core.topology import RoundPlan, run_pairwise_tournament
 
+        self._ingest_phase(round_index)
         topology = self.topology
-        topology.begin_round(round_index)
-        name_to_index = {t.name: i for i, t in enumerate(self.trainers)}
-        pairs = []
         timing = {"tournament_s": 0.0, "exchange_s": 0.0}
+        span_attrs: dict = {}
+        on_ready = None
+        if topology.barrier_free:
+            topology.begin_round(round_index)
+            span_attrs = {"topology": topology.name, "barrier": False}
+            name_to_index = {t.name: i for i, t in enumerate(self.trainers)}
+            pairs = []
 
-        def on_ready(trainer_name: str) -> None:
-            pair = topology.on_ready(name_to_index[trainer_name])
-            if pair is None:
-                return
-            pairs.append(pair)
-            t0 = time.perf_counter()
-            exchange_s = run_pairwise_tournament(
-                self, round_index, pair, topology
-            )
-            timing["exchange_s"] += exchange_s
-            timing["tournament_s"] += time.perf_counter() - t0 - exchange_s
+            def on_ready(trainer_name: str) -> None:
+                pair = topology.on_ready(name_to_index[trainer_name])
+                if pair is None:
+                    return
+                pairs.append(pair)
+                t0 = time.perf_counter()
+                exchange_s = run_pairwise_tournament(
+                    self, round_index, pair, topology
+                )
+                timing["exchange_s"] += exchange_s
+                timing["tournament_s"] += time.perf_counter() - t0 - exchange_s
 
         t0 = time.perf_counter()
-        with self._phase_span(
-            "train", round=round_index, topology=topology.name, barrier=False
-        ):
-            losses = self.backend.train_round_async(
+        with self._phase_span("train", round=round_index, **span_attrs):
+            losses = self.backend.train_round(
                 round_index, self.config.steps_per_round, on_ready
             )
         self.history.train_losses.append(losses)
-        train_s = (
-            time.perf_counter() - t0
-            - timing["tournament_s"] - timing["exchange_s"]
-        )
-        plan = RoundPlan(pairs=tuple(pairs), byes=topology.finish_round())
-        self.record_pairings(round_index, plan, topology)
+        train_s = time.perf_counter() - t0 - sum(timing.values())
+        if topology.barrier_free:
+            plan = RoundPlan(pairs=tuple(pairs), byes=topology.finish_round())
+            self.record_pairings(round_index, plan, topology)
+        elif topology.active:
+            t0 = time.perf_counter()
+            with self._phase_span(
+                "tournament", round=round_index, topology=topology.name
+            ):
+                timing["exchange_s"] = topology.exchange(self, round_index)
+            timing["tournament_s"] = (
+                time.perf_counter() - t0 - timing["exchange_s"]
+            )
         eval_s = self._eval_phase(round_index)
-        self._end_round(
-            round_index,
-            train_s=train_s,
-            tournament_s=timing["tournament_s"],
-            exchange_s=timing["exchange_s"],
-            eval_s=eval_s,
-        )
+        self._end_round(round_index, train_s=train_s, eval_s=eval_s, **timing)
 
     def record_pairings(self, round_index: int, plan, topology) -> None:
         """Book one round's realized pairing plan: history rows
@@ -356,22 +337,6 @@ class PopulationDriver:
         if tracer is None:
             return nullcontext()
         return tracer.span(f"phase:{phase}", cat="phase", **attrs)
-
-    def _train_phase(self, round_index: int) -> float:
-        """Train every trainer for one interval; returns elapsed seconds.
-
-        Execution is delegated to the backend; on return the driver's
-        trainer objects hold the post-train state regardless of where the
-        steps ran.  Per-trainer ``step_end`` events reach the hub either
-        directly (serial) or relayed in population order (thread/process).
-        """
-        t0 = time.perf_counter()
-        with self._phase_span("train", round=round_index):
-            losses = self.backend.train_round(
-                round_index, self.config.steps_per_round
-            )
-        self.history.train_losses.append(losses)
-        return time.perf_counter() - t0
 
     def _eval_phase(self, round_index: int) -> float:
         """Evaluate the population on the global batch; returns elapsed."""

@@ -24,7 +24,7 @@ Shipped implementations:
   trainers it beats, and discriminators rotate one shard around the ring;
 - :class:`AsyncPairwise` — no round barrier: trainers pair whenever both
   are ready (a readiness queue fed by the execution backend's
-  ``train_round_async``), with seeded partner choice.  On the serial
+  barrier-free ``train_round``), with seeded partner choice.  On the serial
   backend readiness arrives in population order, so async runs stay
   deterministic and testable; on thread/process backends readiness is
   true completion order;
@@ -109,7 +109,8 @@ class Topology(ABC):
 
     name: str = "abstract"
     #: True when the topology pairs trainers as they finish training,
-    #: without a round barrier (drivers use ``train_round_async``).
+    #: without a round barrier (drivers pass ``on_ready`` to the
+    #: backend's ``train_round``).
     barrier_free: bool = False
     #: False for topologies that never exchange (no tournament phase,
     #: no pairing events) — the K-independent baseline.
@@ -650,7 +651,7 @@ class AsyncPairwise(Topology):
     """Barrier-free pairwise tournaments over a readiness queue.
 
     Trainers enter the queue as their train intervals complete (the
-    execution backend's ``train_round_async`` reports readiness in
+    execution backend's ``train_round(..., on_ready)`` reports readiness in
     completion order); a newly ready trainer pairs immediately with a
     seeded-random waiting trainer, and the tournament runs while the rest
     of the population is still training.  A trainer left waiting when the

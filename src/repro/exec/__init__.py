@@ -12,13 +12,18 @@ tournaments; the backends exploit exactly that independence:
 - :class:`ThreadBackend` — a thread pool; NumPy/BLAS kernels release the
   GIL, so train intervals of different trainers overlap;
 - :class:`ProcessBackend` — a persistent ``multiprocessing`` worker pool
-  holding trainer replicas, fed per-round train/apply commands, with
-  state shipped via the checkpoint flat-buffer codec and telemetry
-  relayed back into the driver's hub.
+  holding trainer replicas, fed one ``train`` command per trainer per
+  round, with state shipped via the checkpoint flat-buffer codec and
+  telemetry relayed back into the driver's hub.
 
-All three produce bit-identical results at round boundaries: within a
-round trainers share no mutable state (each has its own model, optimizers
-and RNG streams), so execution order/placement cannot change the math.
+Each backend implements only the train phase, as a stream of trainers in
+completion order; :meth:`ExecutionBackend.train_round` is the one round
+built on it, with a barrier (telemetry replayed in population order) or
+without one (each trainer reported to the driver's ``on_ready`` as it
+finishes).  All three produce bit-identical results at round boundaries:
+within a round trainers share no mutable state (each has its own model,
+optimizers and RNG streams), so execution order/placement cannot change
+the math.
 ``resolve_backend`` coerces the driver-facing spec (``None``, a name, or
 an instance) into a backend.
 """

@@ -7,32 +7,33 @@ the first round, :meth:`~ExecutionBackend.train_round` once per round,
 model/optimizer state outside the backend (tournament adoption), and
 :meth:`~ExecutionBackend.release` after the last round.
 
-Backends must preserve two invariants the drivers rely on:
+Every backend implements the train phase once, as
+:meth:`~ExecutionBackend._train_intervals`: a generator yielding
+``(trainer_name, losses, recorder)`` in *completion* order, the recorder
+holding that trainer's not-yet-replayed telemetry.  ``train_round`` is
+the one round built on it, barrier or barrier-free:
 
 - **round-boundary determinism** — after ``train_round`` returns, the
   driver-side trainer objects hold exactly the state a serial run would
   have produced (trainers are independent within a round and all RNG is
   scoped per trainer, so this is achievable for any placement);
-- **telemetry ordering** — events produced during the train phase are
-  delivered to the driver's hub grouped per trainer, in population order,
-  exactly as the serial loop emits them.
-
-The barrier-free variant, :meth:`~ExecutionBackend.train_round_async`,
-relaxes the second invariant by design: trainer readiness is reported in
-*completion* order (population order on the serial default), telemetry
-replays per trainer as it completes, and the driver's ``on_ready``
-callback may run tournaments against already-finished trainers while the
-rest of the round is still training.  State determinism still holds —
-only finished trainers are touched, and trainers are independent within
-a round.
+- **telemetry ordering** — without ``on_ready`` (the barrier round) the
+  recorders replay once the whole population is done, in population
+  order, exactly as the serial loop emits them.  With ``on_ready`` (the
+  barrier-free round) each trainer's recorder replays as it completes
+  and ``on_ready(name)`` follows, so the driver may run tournaments
+  against finished trainers while the rest of the round still trains.
+  State determinism still holds — only finished trainers are touched.
 """
 
 from __future__ import annotations
 
+import os
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from repro.telemetry.events import EVENT_TYPES
+from repro.telemetry.resources import emit_resource_sample
 
 if TYPE_CHECKING:
     from repro.core.trainer import Trainer
@@ -51,8 +52,8 @@ class EventRecorder:
 
     Parallel backends attach one per trainer during the train phase so
     instrumented components can emit off the driver thread/process; the
-    backend then replays the buffer into the real hub, in population
-    order, restoring the serial trace ordering.  Payloads must stay
+    backend's round then replays the buffer into the real hub (see the
+    module docstring for the order).  Payloads must stay
     picklable (they cross process boundaries under the process backend).
 
     Recorders mirror the hub's :attr:`~repro.telemetry.events.
@@ -85,18 +86,28 @@ class ExecutionBackend(ABC):
     """Where/how per-trainer population work executes.
 
     Subclasses define :attr:`name` (the CLI/telemetry identifier), the
-    worker count they actually use, and the four lifecycle hooks.  A
-    backend instance is reusable: ``bind`` after ``release`` starts a
+    train phase (:meth:`_train_intervals`) and optional lifecycle hooks.
+    A backend instance is reusable: ``bind`` after ``release`` starts a
     fresh session (the process backend re-spawns its pool).
+
+    ``max_workers`` caps the pool of the parallel backends; by default
+    they use one slot per CPU, never more than one per bound trainer.
     """
 
     name: str = "abstract"
 
-    def __init__(self, prefetch_depth: int | None = None) -> None:
+    def __init__(
+        self,
+        max_workers: int | None = None,
+        prefetch_depth: int | None = None,
+    ) -> None:
+        if max_workers is not None and max_workers <= 0:
+            raise ValueError("max_workers must be positive")
         if prefetch_depth is not None and prefetch_depth < 0:
             raise ValueError(
                 f"prefetch_depth must be >= 0, got {prefetch_depth}"
             )
+        self._max_workers = max_workers
         # Data-pipeline depth imposed on every bound trainer for the
         # duration of a run (None = leave each trainer's own depth).  Any
         # depth is bit-identical: batch plans are independent of
@@ -112,7 +123,12 @@ class ExecutionBackend(ABC):
     def bind(
         self, trainers: Sequence["Trainer"], telemetry: "TelemetryHub"
     ) -> None:
-        """Attach to a driver's population for the duration of one run."""
+        """Attach to a driver's population for the duration of one run.
+
+        A failing ``_on_bind`` releases whatever it had set up (workers
+        started, depths imposed) before the error propagates, so the
+        backend can be bound again.
+        """
         if self._bound:
             raise RuntimeError(f"{self.name} backend is already bound")
         self._trainers = list(trainers)
@@ -122,7 +138,11 @@ class ExecutionBackend(ABC):
             self._saved_depths = [t.prefetch_depth for t in self._trainers]
             for t in self._trainers:
                 t.set_prefetch_depth(self.prefetch_depth)
-        self._on_bind()
+        try:
+            self._on_bind()
+        except BaseException:
+            self.release()
+            raise
 
     def release(self) -> None:
         """Detach from the population; idempotent."""
@@ -150,9 +170,11 @@ class ExecutionBackend(ABC):
 
     # -- per-round work -------------------------------------------------------
 
-    @abstractmethod
     def train_round(
-        self, round_index: int, n_steps: int
+        self,
+        round_index: int,
+        n_steps: int,
+        on_ready: Callable[[str], None] | None = None,
     ) -> dict[str, dict[str, float]]:
         """Train every trainer ``n_steps``; return per-trainer mean losses.
 
@@ -160,34 +182,50 @@ class ExecutionBackend(ABC):
         state (weights, optimizers, counters), whatever process executed
         the steps.  The result dict is keyed by trainer name in
         population order.
+
+        Without ``on_ready`` this is the barrier round: trainer telemetry
+        replays into the hub after the whole population has finished, in
+        population order.  With it, each trainer's telemetry replays as
+        its interval completes and ``on_ready(trainer_name)`` is then
+        called on the driver thread; the callback may mutate that finished
+        trainer (tournament adoption) and call :meth:`mark_dirty`.  Either
+        way the round ends with the backend's resource samples.
         """
-
-    def train_round_async(
-        self,
-        round_index: int,
-        n_steps: int,
-        on_ready,
-    ) -> dict[str, dict[str, float]]:
-        """Barrier-free train phase: call ``on_ready(trainer_name)`` on
-        the driver thread as each trainer's interval completes, instead of
-        waiting for the whole population.
-
-        The default implementation is the degenerate (but correct)
-        barrier-full form — train everyone, then report readiness in
-        population order — which is exactly the deterministic semantics
-        the serial backend wants: trainers are independent within a round,
-        so pairing trainer 0 and 1 before trainer 2 trains yields the
-        same states as pairing after.  Parallel backends override this to
-        report true completion order.
-
-        ``on_ready`` may mutate the finished trainer (tournament
-        adoption) and call :meth:`mark_dirty`; backends must tolerate
-        both mid-round.
-        """
-        losses = self.train_round(round_index, n_steps)
+        assert self._telemetry is not None
+        losses: dict[str, dict[str, float]] = {}
+        held: dict[str, EventRecorder] = {}
+        for name, trainer_losses, recorder in self._train_intervals(n_steps):
+            losses[name] = trainer_losses
+            if on_ready is None:
+                held[name] = recorder
+            else:
+                recorder.replay_into(self._telemetry)
+                on_ready(name)
         for t in self._trainers:
-            on_ready(t.name)
-        return losses
+            if t.name in held:
+                held[t.name].replay_into(self._telemetry)
+        self._emit_resource_samples()
+        return {t.name: losses[t.name] for t in self._trainers}
+
+    @abstractmethod
+    def _train_intervals(
+        self, n_steps: int
+    ) -> Iterator[tuple[str, dict[str, float], EventRecorder]]:
+        """Train every trainer ``n_steps``, yielding ``(trainer_name,
+        losses, recorder)`` as each interval completes.
+
+        By the time a trainer is yielded its driver-side object holds the
+        post-train state and its telemetry sink is restored; ``recorder``
+        holds the events it produced that have not reached the hub yet.
+        """
+
+    def _emit_resource_samples(self) -> None:
+        """One resource sample per train phase.  All trainer work of the
+        in-process backends runs in the driver process, so one sample of
+        it is the complete picture."""
+        emit_resource_sample(
+            self._telemetry, source="driver", backend=self.name, worker=0
+        )
 
     def mark_dirty(self, trainer_name: str) -> None:
         """The driver mutated this trainer's model/optimizer state.
@@ -215,7 +253,8 @@ class ExecutionBackend(ABC):
     @property
     def num_workers(self) -> int:
         """How many concurrent execution slots this backend uses."""
-        return 1
+        n = self._max_workers or (os.cpu_count() or 1)
+        return min(n, len(self._trainers)) if self._trainers else n
 
     # -- convenience -----------------------------------------------------------
 

@@ -20,9 +20,9 @@ This module closes that gap with one cheap primitive and one callback:
 
 Execution backends emit the same event from wherever trainer work runs:
 the serial and thread backends sample the driver process once per train
-phase, and each process-backend worker samples *itself* per train command
-— buffered and relayed to the driver's hub exactly like spans, so a
-multi-process run reports one resource series per worker process.
+phase, and each process-backend worker samples *itself* once per train
+phase — relayed to the driver's hub after the round's trainer events, so
+a multi-process run reports one resource series per worker process.
 
 On platforms without the ``resource`` module (Windows) sampling degrades
 to CPU-only via ``os.times``; all byte fields read zero.

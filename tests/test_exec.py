@@ -50,7 +50,7 @@ def _worker_train_s(metrics) -> dict[str, float]:
 
 def _run_ltfb(
     tiny_dataset, tiny_spec, tiny_autoencoder, backend,
-    topology="random_pairwise",
+    topology="random_pairwise", callbacks=(),
 ):
     trainers = _population(tiny_dataset, tiny_spec, tiny_autoencoder)
     val_ids = np.arange(tiny_dataset.n_samples - 64, tiny_dataset.n_samples)
@@ -62,7 +62,7 @@ def _run_ltfb(
         backend=backend,
         topology=topology,
     )
-    history = driver.run()
+    history = driver.run(callbacks=list(callbacks))
     final_weights = {
         t.name: {k: v.copy() for k, v in t.generator_state().items()}
         for t in driver.trainers
@@ -131,6 +131,41 @@ class TestLifecycle:
         backend.release()  # idempotent
         backend.bind(trainers, TelemetryHub())  # reusable after release
         backend.release()
+
+    def test_failed_bind_releases(
+        self, tiny_dataset, tiny_spec, tiny_autoencoder
+    ):
+        class FailingBind(ThreadBackend):
+            def _on_bind(self):
+                super()._on_bind()
+                raise RuntimeError("bind hook failed")
+
+        trainers = _population(tiny_dataset, tiny_spec, tiny_autoencoder, k=2)
+        depths = [t.prefetch_depth for t in trainers]
+        assert 3 not in depths
+        backend = FailingBind(prefetch_depth=3)
+        for _ in range(2):  # a failed bind leaves the backend bindable
+            with pytest.raises(RuntimeError, match="bind hook failed"):
+                backend.bind(trainers, TelemetryHub())
+            assert not backend._bound
+            assert backend._pool is None
+            assert [t.prefetch_depth for t in trainers] == depths
+
+    def test_failed_process_bind_stops_started_workers(
+        self, tiny_dataset, tiny_spec, tiny_autoencoder
+    ):
+        import multiprocessing
+
+        trainers = _population(tiny_dataset, tiny_spec, tiny_autoencoder, k=2)
+        trainers[1].unpicklable = lambda: None  # worker 1's payload fails
+        backend = ProcessBackend(max_workers=2)
+        with pytest.raises(Exception, match="pickle"):
+            backend.bind(trainers, TelemetryHub())
+        assert not backend._bound
+        assert not [
+            p for p in multiprocessing.active_children()
+            if p.name.startswith("repro-exec")
+        ]
 
     def test_worker_assignment_is_round_robin(self):
         assert [ExecutionBackend.worker_of(i, 3) for i in range(6)] == [
@@ -220,6 +255,63 @@ class TestCrossBackendDeterminism:
         assert all(t.steps_done == 9 for t in driver.trainers)
 
 
+class TestRoundOrdering:
+    """The telemetry order a round's replay guarantees on every backend: a
+    tournament never precedes either partner's training, a barrier round
+    relays ``step_end`` in population order, and the serial barrier-free
+    round trains the whole population before its first exchange."""
+
+    @pytest.mark.parametrize("topology", ["random_pairwise", "async_pairwise"])
+    @pytest.mark.parametrize("backend_name", ["serial", "thread", "process"])
+    def test_tournaments_follow_both_partners_training(
+        self, backend_name, topology, tiny_dataset, tiny_spec, tiny_autoencoder
+    ):
+        events = []
+
+        class Collect(Callback):
+            def on_event(self, event):
+                events.append((event.type, dict(event.payload)))
+
+        _run_ltfb(
+            tiny_dataset, tiny_spec, tiny_autoencoder,
+            resolve_backend(backend_name, max_workers=2),
+            topology=topology, callbacks=[Collect()],
+        )
+        rounds, current = [], []
+        for event in events:
+            if event[0] == "round_end":
+                rounds.append(current)
+                current = []
+            else:
+                current.append(event)
+        assert len(rounds) == 3
+        population = [f"trainer{i:02d}" for i in range(4)]
+        for round_events in rounds:
+            trained_at = {
+                payload["trainer"]: i
+                for i, (etype, payload) in enumerate(round_events)
+                if etype == "step_end"
+            }
+            assert sorted(trained_at) == population
+            tournaments = [
+                (i, payload)
+                for i, (etype, payload) in enumerate(round_events)
+                if etype == "tournament"
+            ]
+            assert len(tournaments) == 4
+            for i, payload in tournaments:
+                assert trained_at[payload["trainer"]] < i
+                assert trained_at[payload["partner"]] < i
+            if topology == "random_pairwise":
+                assert sorted(trained_at, key=trained_at.get) == population
+            if backend_name == "serial" and topology == "async_pairwise":
+                first_exchange = next(
+                    i for i, (etype, _) in enumerate(round_events)
+                    if etype == "exchange"
+                )
+                assert max(trained_at.values()) < first_exchange
+
+
 class TestProcessBackend:
     def test_mid_epoch_bind_matches_serial(
         self, tiny_dataset, tiny_spec, tiny_autoencoder
@@ -304,17 +396,19 @@ class TestTelemetryAttribution:
         ]
         assert all(e["backend"] == "serial" and e["worker"] == 0 for e in events)
 
-    def test_thread_attribution_and_population_order(
-        self, tiny_dataset, tiny_spec, tiny_autoencoder
+    @pytest.mark.parametrize("backend_name", ["thread", "process"])
+    def test_parallel_attribution_and_population_order(
+        self, backend_name, tiny_dataset, tiny_spec, tiny_autoencoder
     ):
         events = self._step_events(
-            tiny_dataset, tiny_spec, tiny_autoencoder, ThreadBackend(max_workers=2)
+            tiny_dataset, tiny_spec, tiny_autoencoder,
+            resolve_backend(backend_name, max_workers=2),
         )
         # Relayed in population order despite concurrent execution.
         assert [e["trainer"] for e in events] == [
             "trainer00", "trainer01", "trainer02", "trainer03",
         ]
-        assert all(e["backend"] == "thread" for e in events)
+        assert all(e["backend"] == backend_name for e in events)
         assert [e["worker"] for e in events] == [0, 1, 0, 1]
 
     def test_counter_aggregator_per_worker_seconds(

@@ -432,6 +432,25 @@ class TestAsyncPairwiseRuns:
         for e in events.events:
             assert len(e["pairs"]) == 1 and len(e["bye"]) == 1
 
+        # An even population pairs everyone in every round.  No
+        # LiveAggregator here: its stall rule weighs the summed fetch
+        # stall of concurrently training trainers against the wall-clock
+        # train phase, and on 4 trainers over 2 workers it fires on noise.
+        trainers = _population(tiny_dataset, tiny_spec, tiny_autoencoder, k=4)
+        events = _PairingEvents()
+        _, history = _run(
+            trainers,
+            tiny_dataset,
+            "async_pairwise",
+            rounds=3,
+            backend=resolve_backend(backend_name, max_workers=2),
+            callbacks=[events],
+        )
+        assert history.rounds_completed == 3
+        assert [e["topology"] for e in events.events] == ["async_pairwise"] * 3
+        for e in events.events:
+            assert len(e["pairs"]) == 2 and e["bye"] == []
+
 
 class TestCheckpointTopologyState:
     """Satellite: mid-run checkpoint/resume restores each topology's
