@@ -11,13 +11,17 @@ mathematical result of a data-parallel step equals a single-process step
 on the global mini-batch (gradient averaging), so the functional trainer
 computes exactly that, and :mod:`repro.core.perfmodel` prices how long the
 real 16-GPU version would take.
+Trainers that differ only in learning rates can train as one stacked
+population (:func:`train_lockstep`), bit-identical to k separate steps.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
@@ -31,7 +35,7 @@ from repro.tensorlib.optimizers import Adam, Optimizer
 if TYPE_CHECKING:
     from repro.telemetry import TelemetryHub
 
-__all__ = ["TrainerConfig", "Trainer"]
+__all__ = ["TrainerConfig", "Trainer", "lockstep_groups", "train_lockstep"]
 
 
 @dataclass(frozen=True)
@@ -124,6 +128,9 @@ class Trainer:
         # a bare trainer trains in-process, hence the serial defaults.
         self.backend_name: str = "serial"
         self.worker_index: int = 0
+        # The surrogate train_lockstep stacks this trainer's group into
+        # (derived, built on first use, never shipped).
+        self._population: ICFSurrogate | None = None
 
     # -- training ----------------------------------------------------------
 
@@ -187,7 +194,9 @@ class Trainer:
         # serializable plan cursor so trainers can ship mid-epoch (the
         # process backend pickles trainers over pipes).
         self.suspend_data_pipeline()
-        return self.__dict__.copy()
+        state = self.__dict__.copy()
+        state["_population"] = None
+        return state
 
     @property
     def span_track(self) -> str:
@@ -195,59 +204,13 @@ class Trainer:
         return f"{self.backend_name}:w{self.worker_index}/{self.name}"
 
     def train_steps(self, n_steps: int) -> dict[str, float]:
-        """Run ``n_steps`` GAN steps; returns mean loss terms.
+        """Run ``n_steps`` GAN steps; returns mean loss terms.  A group
+        of one in :func:`train_lockstep` (which documents the telemetry)."""
+        return train_lockstep([self], n_steps)[0]
 
-        Emits one ``step_end`` telemetry event per call when a hub is
-        attached (drivers attach theirs for the duration of a run).  When
-        the hub is tracing, the interval and every step within it become
-        spans on this trainer's :attr:`span_track` (with materialization
-        and store fetches nesting under the step that consumed them).
-        """
-        if n_steps <= 0:
-            raise ValueError("n_steps must be positive")
-        t0 = time.perf_counter()
-        hits0, misses0 = self.latent_table.hits, self.latent_table.misses
-        sums: dict[str, float] = {}
-        tracer = getattr(self.telemetry, "tracer", None)
-        if tracer is None:
-            for _ in range(n_steps):
-                terms = self._train_step()
-                for k, v in terms.items():
-                    sums[k] = sums.get(k, 0.0) + v
-        else:
-            track = self.span_track
-            with tracer.span(
-                "train_interval", cat="train", track=track,
-                trainer=self.name, steps=n_steps,
-            ):
-                for i in range(n_steps):
-                    with tracer.span(
-                        "train_step", cat="step", track=track,
-                        step=self.steps_done + i,
-                    ):
-                        terms = self._train_step()
-                    for k, v in terms.items():
-                        sums[k] = sums.get(k, 0.0) + v
-        self.steps_done += n_steps
-        means = {k: v / n_steps for k, v in sums.items()}
-        if self.telemetry is not None:
-            self.telemetry.emit(
-                "step_end",
-                trainer=self.name,
-                steps=n_steps,
-                steps_done=self.steps_done,
-                losses=means,
-                elapsed_s=time.perf_counter() - t0,
-                backend=self.backend_name,
-                worker=self.worker_index,
-                latent_hits=self.latent_table.hits - hits0,
-                latent_misses=self.latent_table.misses - misses0,
-            )
-        return means
-
-    def _train_step(self) -> dict[str, float]:
-        """Draw the next batch and take one GAN step on it, the real
-        latents coming from the per-sample table."""
+    def _step_inputs(self) -> tuple[Mapping[str, np.ndarray], np.ndarray]:
+        """Draw the next batch; returns its feeds and the real latents
+        (from the per-sample table)."""
         mb = self._next_batch()
         latent_real = self.latent_table.latents(
             self.surrogate.autoencoder,
@@ -255,9 +218,7 @@ class Trainer:
             mb.feeds["scalars"],
             mb.feeds["images"],
         )
-        return self.surrogate.train_step(
-            mb.feeds, self.disc_optimizer, self.gen_optimizer, latent_real
-        )
+        return mb.feeds, latent_real
 
     # -- evaluation ----------------------------------------------------------
 
@@ -372,3 +333,104 @@ class _SwappedWeights:
 
     def __exit__(self, *exc_info) -> None:
         self._setter(self._own)
+
+
+# ---------------------------------------------------------------------------
+# Lockstep: a group of trainers as one stacked population
+# ---------------------------------------------------------------------------
+
+
+def lockstep_key(trainer: Trainer) -> tuple:
+    """Trainers stack when these match: surrogate config but learning rates,
+    autoencoder object, batch size, optimizer classes and hyperparameters."""
+    cfg = dataclasses.replace(
+        trainer.surrogate.config, learning_rate=1.0, disc_learning_rate=1.0
+    )
+    optimizers = [
+        (type(o), tuple(o.hyperparameters().items()))
+        for o in (trainer.disc_optimizer, trainer.gen_optimizer)
+    ]
+    ae, batch = id(trainer.surrogate.autoencoder), trainer.config.batch_size
+    return cfg, ae, batch, *optimizers
+
+
+def lockstep_groups(trainers: Sequence[Trainer]) -> list[list[Trainer]]:
+    """Partition ``trainers`` by :func:`lockstep_key`, in population order."""
+    groups: dict[tuple, list[Trainer]] = {}
+    for t in trainers:
+        groups.setdefault(lockstep_key(t), []).append(t)
+    return list(groups.values())
+
+
+def train_lockstep(trainers: Sequence[Trainer], n_steps: int) -> list[dict[str, float]]:
+    """Train a :func:`lockstep_groups` group ``n_steps``; returns each
+    trainer's mean loss terms.  Each step, every trainer draws its own batch
+    and latents, then one ``train_step`` runs on the stacked population
+    (weights, optimizer slots and step counts gathered on entry and
+    scattered back at the end).  Per trainer: ``train_interval`` and
+    ``train_step`` spans on its track (a step spans its draw and the stacked
+    compute, so traced trainers need separate sinks), and one ``step_end``
+    whose ``elapsed_s`` is its draw time plus 1/k of the rest."""
+    if n_steps <= 0:
+        raise ValueError("n_steps must be positive")
+    t_start = time.perf_counter()
+    lead = trainers[0]
+    if lead._population is None:
+        lead._population = ICFSurrogate.population_of(lead.surrogate)
+    population, k = lead._population, len(trainers)
+    population.stack([t.surrogate for t in trainers])
+    disc = Optimizer.stack([t.disc_optimizer for t in trainers])
+    gen = Optimizer.stack([t.gen_optimizer for t in trainers])
+    latent_counts = [(t.latent_table.hits, t.latent_table.misses) for t in trainers]
+    draw_s = [0.0] * k
+    sums: list[dict[str, float]] = [{} for _ in trainers]
+    with ExitStack() as intervals:
+        for t in trainers:
+            _span(intervals, t, "train_interval", "train",
+                  trainer=t.name, steps=n_steps)
+        for i in range(n_steps):
+            with ExitStack() as steps:
+                drawn = []
+                for j, t in enumerate(trainers):
+                    t0 = time.perf_counter()
+                    _span(steps, t, "train_step", "step", step=t.steps_done + i)
+                    drawn.append(t._step_inputs())
+                    draw_s[j] += time.perf_counter() - t0
+                feeds, latents = zip(*drawn)
+                terms = population.train_step(
+                    {name: np.stack([f[name] for f in feeds]) for name in feeds[0]},
+                    disc, gen, np.stack(latents),
+                )
+            for j, trainer_sums in enumerate(sums):
+                for name, values in terms.items():
+                    trainer_sums[name] = trainer_sums.get(name, 0.0) + float(values[j])
+    population.unstack([t.surrogate for t in trainers])
+    disc.unstack()
+    gen.unstack()
+    shared_s = (time.perf_counter() - t_start - sum(draw_s)) / k
+    results = []
+    for t, trainer_sums, own_s, (hits0, misses0) in zip(
+        trainers, sums, draw_s, latent_counts
+    ):
+        t.steps_done += n_steps
+        results.append({name: v / n_steps for name, v in trainer_sums.items()})
+        if t.telemetry is not None:
+            t.telemetry.emit(
+                "step_end",
+                trainer=t.name,
+                steps=n_steps,
+                steps_done=t.steps_done,
+                losses=results[-1],
+                elapsed_s=own_s + shared_s,
+                backend=t.backend_name,
+                worker=t.worker_index,
+                latent_hits=t.latent_table.hits - hits0,
+                latent_misses=t.latent_table.misses - misses0,
+            )
+    return results
+
+
+def _span(stack: ExitStack, t: Trainer, name: str, cat: str, **attrs) -> None:
+    tracer = getattr(t.telemetry, "tracer", None)
+    if tracer is not None:
+        stack.enter_context(tracer.span(name, cat=cat, track=t.span_track, **attrs))

@@ -219,6 +219,19 @@ class ExecutionBackend(ABC):
         holds the events it produced that have not reached the hub yet.
         """
 
+    def _swap_in_recorders(self) -> dict[str, tuple[EventRecorder, object]]:
+        """Point every trainer at a private recorder with a child of the
+        hub's tracer; returns ``{name: (recorder, sink to restore)}``."""
+        hub_tracer = self._telemetry.tracer
+        swapped = {}
+        for t in self._trainers:
+            rec = EventRecorder()
+            if hub_tracer is not None:
+                rec.tracer = hub_tracer.child(rec)
+            swapped[t.name] = (rec, t.telemetry)
+            t.telemetry = rec
+        return swapped
+
     def _emit_resource_samples(self) -> None:
         """One resource sample per train phase.  All trainer work of the
         in-process backends runs in the driver process, so one sample of

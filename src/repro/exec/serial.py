@@ -1,25 +1,24 @@
-"""SerialBackend: the reference in-process, one-at-a-time executor."""
+"""SerialBackend: the reference in-process executor."""
 
 from __future__ import annotations
 
+from repro.core.trainer import lockstep_groups, train_lockstep
 from repro.exec.base import EventRecorder, ExecutionBackend
 
 __all__ = ["SerialBackend"]
 
 
 class SerialBackend(ExecutionBackend):
-    """Train trainers sequentially in the driver process.
+    """Train the population in lockstep in the driver process.
 
-    This is exactly the pre-backend behaviour of the drivers: trainers
-    emit their telemetry directly into the driver's hub as they train
-    (so the recorders it yields are empty), and the driver's trainer
-    objects are the executing state, so ``mark_dirty`` has nothing to do.
-    Span tracing needs no relay plumbing either — trainers see the hub
-    itself as their sink, so the hub's tracer (and its clock) is used
-    directly.  ``max_workers`` is accepted so every backend shares one
-    construction signature; serial is definitionally one slot.
-    ``prefetch_depth`` still matters: the data pipeline can materialize
-    ahead even when trainers run one at a time.
+    Each :func:`~repro.core.trainer.lockstep_groups` group trains as one
+    stack (:func:`~repro.core.trainer.train_lockstep`), bit-identical to
+    one trainer at a time; private recorders replay into the hub in
+    population order after everyone trained, as the one-at-a-time loop
+    emitted.  The driver's trainers are the executing state, so
+    ``mark_dirty`` has nothing to do.  ``max_workers`` is accepted for the
+    shared signature (serial is one slot); ``prefetch_depth`` still lets
+    pipelines materialize ahead of the draws.
     """
 
     name = "serial"
@@ -34,9 +33,20 @@ class SerialBackend(ExecutionBackend):
             t.worker_index = 0
 
     def _train_intervals(self, n_steps: int):
-        # Everyone trains before anyone is reported ready, so a
-        # barrier-free round's tournaments all follow the whole train
-        # phase: serial async runs are deterministic.
-        losses = [t.train_steps(n_steps) for t in self._trainers]
-        for t, trainer_losses in zip(self._trainers, losses):
-            yield t.name, trainer_losses, EventRecorder()
+        swapped = self._swap_in_recorders()
+        losses = {}
+        try:
+            for group in lockstep_groups(self._trainers):
+                losses.update(zip(
+                    (t.name for t in group), train_lockstep(group, n_steps)
+                ))
+        finally:
+            for t in self._trainers:
+                t.telemetry = swapped[t.name][1]
+        # Everyone trains, and every event reaches the hub, before anyone
+        # is reported ready, so a barrier-free round's tournaments all
+        # follow the whole train phase: serial async runs are deterministic.
+        for t in self._trainers:
+            swapped[t.name][0].replay_into(self._telemetry)
+        for t in self._trainers:
+            yield t.name, losses[t.name], EventRecorder()

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor, as_completed
 
-from repro.exec.base import EventRecorder, ExecutionBackend
+from repro.exec.base import ExecutionBackend
 
 __all__ = ["ThreadBackend"]
 
@@ -50,16 +50,7 @@ class ThreadBackend(ExecutionBackend):
 
     def _train_intervals(self, n_steps: int):
         assert self._pool is not None and self._telemetry is not None
-        hub_tracer = self._telemetry.tracer
-        swapped = {}  # trainer name -> (recorder, hub to restore)
-        for t in self._trainers:
-            rec = EventRecorder()
-            if hub_tracer is not None:
-                # Same process, same monotonic clock: a child tracer
-                # sharing the hub's epoch needs no realignment at replay.
-                rec.tracer = hub_tracer.child(rec)
-            swapped[t.name] = (rec, t.telemetry)
-            t.telemetry = rec
+        swapped = self._swap_in_recorders()
         try:
             futures = {
                 self._pool.submit(t.train_steps, n_steps): t

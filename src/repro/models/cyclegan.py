@@ -348,10 +348,14 @@ class ICFSurrogate:
         already has it (trainers keep it per sample, see
         :class:`~repro.models.autoencoder.LatentTable`); encoded here
         otherwise.  Returns all loss terms.
+
+        On a population (:meth:`stack`), with ``[k, b, ·]`` batches and
+        stacked optimizers, each loss term is one value per trainer, each
+        slice bit for bit its own unstacked step.
         """
         cfg = self.config
         params, scalars, images = batch["params"], batch["scalars"], batch["images"]
-        n = params.shape[0]
+        label_shape = params.shape[:-1] + (1,)
 
         # Real/fake latents.  The encoder is frozen: evaluation mode,
         # no backward pass.
@@ -364,14 +368,14 @@ class ICFSurrogate:
         real, tape = self.discriminator.forward(
             {"in": latent_real}, outputs=["out"], training=True
         )
-        real_targets = np.full((n, 1), 1.0 - cfg.label_smoothing, dtype=np.float32)
+        real_targets = np.full(label_shape, 1.0 - cfg.label_smoothing, dtype=np.float32)
         d_real, g_real = losses.bce_with_logits(real["out"], real_targets)
         self.discriminator.backward({"out": g_real}, tape)
         fake, tape = self.discriminator.forward(
             {"in": latent_fake}, outputs=["out"], training=True
         )
         d_fake, g_fake = losses.bce_with_logits(
-            fake["out"], np.zeros((n, 1), dtype=np.float32)
+            fake["out"], np.zeros(label_shape, dtype=np.float32)
         )
         self.discriminator.backward({"out": g_fake}, tape)
         disc_optimizer.step(self.discriminator.trainable_weights)
@@ -404,7 +408,7 @@ class ICFSurrogate:
             {"in": z}, outputs=["out"], training=False
         )
         adv, grad_adv = losses.bce_with_logits(
-            adv_logits["out"], np.ones((n, 1), dtype=np.float32)
+            adv_logits["out"], np.ones(label_shape, dtype=np.float32)
         )
         z_grad = z_grad + self.discriminator.backward(
             {"out": cfg.w_adversarial * grad_adv}, tape, through=True
@@ -519,3 +523,23 @@ class ICFSurrogate:
         self.set_generator_state(state)
         disc = {k: v for k, v in state.items() if k.startswith("discriminator/")}
         self.discriminator.set_state(disc)
+
+    @classmethod
+    def population_of(cls, member: "ICFSurrogate") -> "ICFSurrogate":
+        """A surrogate to :meth:`stack` ``member``'s population into."""
+        return cls(RngFactory(0), member.config, member.autoencoder)
+
+    TRAINED_PARTS = ("forward_model", "inverse_model", "discriminator")
+
+    def stack(self, members: Sequence["ICFSurrogate"]) -> None:
+        """Hold ``members``' F, G and D as ``[k, ...]`` stacks (the frozen
+        decoder broadcasts); :meth:`unstack` hands them back."""
+        for part in self.TRAINED_PARTS:
+            getattr(self, part).stack([getattr(m, part) for m in members])
+        self.steps_trained = 0
+
+    def unstack(self, members: Sequence["ICFSurrogate"]) -> None:
+        for part in self.TRAINED_PARTS:
+            getattr(self, part).unstack([getattr(m, part) for m in members])
+        for m in members:
+            m.steps_trained += self.steps_trained

@@ -19,7 +19,7 @@ nan_loss           train    critical a ``step_end`` loss term is
                                      non-finite
 stall_regression   data     warning  a post-warmup round's summed fetch
                                      stall exceeds a fraction of its
-                                     train phase
+                                     summed train-interval time
 winrate_collapse   exchange warning  one trainer won nearly every
                                      adoption in the recent rounds, in
                                      the population or in one topology
@@ -118,7 +118,8 @@ class LiveAggregator(Callback):
         local signal of the population-wide collapse.
     stall_fraction_threshold / warmup_rounds:
         Flag a round whose summed fetch stall exceeds this fraction of
-        the train phase (the data path dominates compute), exempting the
+        its trainers' summed ``step_end`` ``elapsed_s`` (or ``train_s``
+        without those), serial or concurrent alike, exempting the
         first ``warmup_rounds`` (first-epoch ingest is expected to stall
         — that is the paper's Fig. 10 initial epoch).
     quality_factor / quality_min_points:
@@ -178,6 +179,7 @@ class LiveAggregator(Callback):
         self.adoptions = 0
         self.tournaments = 0
         self._round_stall_s = 0.0
+        self._round_step_s = 0.0
         # Win-rate window: per-round {group: {winner: adoptions}} maps,
         # where group None is the whole population and named groups are
         # topology neighborhoods (every adoption counts toward both).
@@ -260,7 +262,9 @@ class LiveAggregator(Callback):
         p = event.payload
         trainer = p.get("trainer")
         steps = int(p.get("steps", 1)) or 1
-        per_step = float(p.get("elapsed_s", 0.0)) / steps
+        elapsed = float(p.get("elapsed_s", 0.0))
+        self._round_step_s += elapsed
+        per_step = elapsed / steps
         self.windows["step_time_s"].push(event.time_s, per_step)
         state = self.trainers.setdefault(str(trainer), {})
         state["steps_done"] = int(p.get("steps_done", 0))
@@ -505,8 +509,9 @@ class LiveAggregator(Callback):
         self._check_collapse(round_index)
         train_s = float(p.get("train_s", 0.0))
         self.windows["round_train_s"].push(event.time_s, train_s)
-        if round_index >= self.warmup_rounds and train_s > 0:
-            fraction = self._round_stall_s / train_s
+        step_s = self._round_step_s or train_s
+        if round_index >= self.warmup_rounds and step_s > 0:
+            fraction = self._round_stall_s / step_s
             if fraction > self.stall_fraction_threshold:
                 self._fire(
                     Alert(
@@ -519,11 +524,12 @@ class LiveAggregator(Callback):
                         message=(
                             f"round {round_index}: fetch stall "
                             f"{self._round_stall_s:.3f}s is {fraction:.0%} "
-                            f"of the {train_s:.3f}s train phase"
+                            f"of the {step_s:.3f}s its trainers trained"
                         ),
                     )
                 )
         self._round_stall_s = 0.0
+        self._round_step_s = 0.0
 
     def _check_collapse(self, round_index: int) -> None:
         totals: dict[str | None, dict[str, int]] = {}

@@ -63,6 +63,9 @@ class LayerGraph:
         self._layers: dict[str, Layer] = {}
         self._parents: dict[str, list[str]] = {}
         self._order: list[str] | None = None
+        # Fixed by the wiring, so kept rather than re-derived per pass.
+        self._inputs: dict[str, Input] = {}
+        self._sinks: list[str] = []
 
     # -- construction --------------------------------------------------------
 
@@ -81,6 +84,8 @@ class LayerGraph:
             raise GraphError(f"Input layer {layer.name!r} cannot have parents")
         self._layers[layer.name] = layer
         self._parents[layer.name] = list(parents)
+        if isinstance(layer, Input):
+            self._inputs[layer.name] = layer
         self._nx.add_node(layer.name)
         for p in parents:
             self._nx.add_edge(p, layer.name)
@@ -96,6 +101,7 @@ class LayerGraph:
         # Deterministic topological order: lexicographic tie-breaking keeps
         # builds (and hence weight init draws) independent of dict order.
         self._order = list(nx.lexicographical_topological_sort(self._nx))
+        self._sinks = [n for n in self._order if self._nx.out_degree(n) == 0]
         for name in self._order:
             layer = self._layers[name]
             parent_shapes = [self._layers[p].output_shape for p in self._parents[name]]
@@ -109,7 +115,7 @@ class LayerGraph:
 
     @property
     def input_names(self) -> list[str]:
-        return [n for n, l in self._layers.items() if isinstance(l, Input)]
+        return list(self._inputs)
 
     def topological_order(self) -> list[str]:
         if self._order is None:
@@ -141,7 +147,8 @@ class LayerGraph:
         ----------
         feeds:
             Batch arrays keyed by ``Input`` layer name.  All inputs must be
-            fed and all batches must agree on the leading dimension.
+            fed and all batches must agree on the leading dimensions (the
+            batch, or population and batch, before the sample shape).
         outputs:
             Names of layers whose activations to return (default: all sink
             layers).
@@ -149,13 +156,17 @@ class LayerGraph:
             Enables dropout masks and batch-statistics updates.
         """
         order = self.topological_order()
-        missing = set(self.input_names) - set(feeds)
+        inputs = self._inputs
+        missing = inputs.keys() - feeds.keys()
         if missing:
             raise GraphError(f"missing feeds for inputs: {sorted(missing)}")
-        unknown = set(feeds) - set(self.input_names)
+        unknown = feeds.keys() - inputs.keys()
         if unknown:
             raise GraphError(f"feeds for non-input layers: {sorted(unknown)}")
-        batch_sizes = {np.asarray(v).shape[0] for v in feeds.values()}
+        batch_sizes = {
+            np.shape(v)[: np.ndim(v) - len(inputs[n].declared_shape)]
+            for n, v in feeds.items()
+        }
         if len(batch_sizes) > 1:
             raise GraphError(f"inconsistent batch sizes in feeds: {batch_sizes}")
 
@@ -163,7 +174,7 @@ class LayerGraph:
         acts: dict[str, np.ndarray] = {}
         for name in order:
             layer = self._layers[name]
-            if isinstance(layer, Input):
+            if name in inputs:
                 acts[name] = layer.feed(feeds[name])
             else:
                 parent_acts = [acts[p] for p in self._parents[name]]
@@ -171,7 +182,7 @@ class LayerGraph:
             tape.shapes[name] = acts[name].shape
 
         if outputs is None:
-            outputs = [n for n in order if self._nx.out_degree(n) == 0]
+            outputs = self._sinks
         try:
             return {n: acts[n] for n in outputs}, tape
         except KeyError as e:
@@ -208,11 +219,11 @@ class LayerGraph:
 
         tape.consumed = True
         for name in reversed(order):
-            layer = self._layers[name]
-            if isinstance(layer, Input) or name not in grads:
+            if name in self._inputs or name not in grads:
                 continue
+            layer = self._layers[name]
             parent_grads = layer.backward(grads.pop(name), tape.caches.pop(name), through)
             for p, pg in zip(self._parents[name], parent_grads):
                 grads[p] = grads[p] + pg if p in grads else pg
 
-        return {n: grads[n] for n in self.input_names if n in grads}
+        return {n: grads[n] for n in self._inputs if n in grads}

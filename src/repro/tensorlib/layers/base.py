@@ -15,7 +15,9 @@ Mirrors LBANN's design where a model is a DAG of tensor operations
   it at full scale.
 
 Shapes are **per-sample**: a layer built with input shape ``(64,)``
-processes batches of shape ``(batch, 64)``.
+processes batches of shape ``(batch, 64)`` — or, with a leading population
+axis, k trainers' batches ``(k, batch, 64)`` through ``[k, ...]`` weights
+(plain weights broadcast), each slice bit for bit its unstacked pass.
 """
 
 from __future__ import annotations
@@ -150,10 +152,11 @@ class Layer(ABC):
                 f"got {len(inputs)}"
             )
         for arr, expected in zip(inputs, self.input_shapes):
-            if arr.shape[1:] != expected:
+            lead = arr.ndim - len(expected)
+            if lead < 1 or arr.shape[lead:] != expected:
                 raise ValueError(
-                    f"layer {self.name!r}: input sample shape {arr.shape[1:]} "
-                    f"!= built shape {expected}"
+                    f"layer {self.name!r}: input shape {arr.shape} has no "
+                    f"batch of built sample shape {expected}"
                 )
 
     def __repr__(self) -> str:

@@ -47,15 +47,16 @@ class Input(Layer):
 
     def feed(self, batch: np.ndarray) -> np.ndarray:
         batch = np.asarray(batch, dtype=np.float32)
-        if batch.ndim != len(self.declared_shape) + 1:
+        lead = batch.ndim - len(self.declared_shape)
+        if lead < 1:
             raise ValueError(
                 f"input {self.name!r} expects batched rank "
-                f"{len(self.declared_shape) + 1}, got shape {batch.shape}"
+                f">= {len(self.declared_shape) + 1}, got shape {batch.shape}"
             )
-        if batch.shape[1:] != self.declared_shape:
+        if batch.shape[lead:] != self.declared_shape:
             raise ValueError(
                 f"input {self.name!r} expects sample shape {self.declared_shape}, "
-                f"got {batch.shape[1:]}"
+                f"got {batch.shape[lead:]}"
             )
         return batch
 
@@ -78,8 +79,9 @@ class Identity(Layer):
 class FullyConnected(Layer):
     """Affine map ``y = x @ W + b`` over flattened per-sample features.
 
-    Inputs of higher rank are flattened per sample; the FLOP count is the
-    usual ``2 * n_in * n_out`` multiply-adds per sample.
+    Samples of higher rank are flattened; the FLOP count is the usual
+    ``2 * n_in * n_out`` multiply-adds per sample.  A ``[k, b, n_in]`` stack
+    through ``[k, n_in, n_out]`` kernels is k GEMMs at the unstacked shapes.
     """
 
     def __init__(
@@ -113,22 +115,23 @@ class FullyConnected(Layer):
 
     def _forward(self, inputs, training, cache):
         x = inputs[0]
-        if x.ndim > 2:
-            x = x.reshape(x.shape[0], -1)
+        sample = self.input_shapes[0]
+        if len(sample) > 1:
+            x = x.reshape(x.shape[: x.ndim - len(sample)] + (-1,))
         cache["x"] = x
-        y = x @ self.kernel.value
+        y = np.matmul(x, self.kernel.value)
         if self.use_bias:
-            y += self.bias.value
+            y += self.bias.value[..., None, :]
         return y
 
     def _backward(self, grad_output, cache, through):
         x = cache["x"]
         if not through:
-            self.kernel.accumulate_grad(x.T @ grad_output)
+            self.kernel.accumulate_grad(np.matmul(x.swapaxes(-1, -2), grad_output))
             if self.use_bias:
-                self.bias.accumulate_grad(grad_output.sum(axis=0))
-        dx = grad_output @ self.kernel.value.T
-        return [dx.reshape((x.shape[0],) + self.input_shapes[0])]
+                self.bias.accumulate_grad(grad_output.sum(axis=-2))
+        dx = np.matmul(grad_output, self.kernel.value.swapaxes(-1, -2))
+        return [dx.reshape(dx.shape[:-1] + self.input_shapes[0])]
 
     def flops_per_sample(self) -> int:
         n_in = int(np.prod(self.input_shapes[0]))
@@ -172,7 +175,7 @@ class Dropout(Layer):
     """Inverted dropout: active only when ``training=True``.
 
     Draws its mask from the generator supplied at build time, so models are
-    reproducible given their seed.
+    reproducible given their seed (a population stack draws one mask).
     """
 
     def __init__(self, name: str, rate: float) -> None:
@@ -204,7 +207,7 @@ class Dropout(Layer):
 
 
 class BatchNorm(Layer):
-    """Batch normalization over the feature axis of rank-2 activations.
+    """Batch normalization of rank-1 features over the batch axis.
 
     Maintains running statistics as non-trainable weights so they travel
     with the model state during LTFB exchanges (a winning model's
@@ -240,31 +243,30 @@ class BatchNorm(Layer):
     def _forward(self, inputs, training, cache):
         x = inputs[0]
         if training:
-            mean = x.mean(axis=0)
-            var = x.var(axis=0)
+            mean = x.mean(axis=-2)
+            var = x.var(axis=-2)
             m = self.momentum
             self.running_mean.value[...] = m * self.running_mean.value + (1 - m) * mean
             self.running_var.value[...] = m * self.running_var.value + (1 - m) * var
         else:
             mean = self.running_mean.value
             var = self.running_var.value
-        inv_std = 1.0 / np.sqrt(var + self.epsilon)
-        x_hat = (x - mean) * inv_std
+        inv_std = (1.0 / np.sqrt(var + self.epsilon))[..., None, :]
+        x_hat = (x - mean[..., None, :]) * inv_std
         cache.update(x_hat=x_hat, inv_std=inv_std, training=training)
-        return self.gamma.value * x_hat + self.beta.value
+        return self.gamma.value[..., None, :] * x_hat + self.beta.value[..., None, :]
 
     def _backward(self, grad_output, cache, through):
         x_hat, inv_std = cache["x_hat"], cache["inv_std"]
         if not through:
-            self.gamma.accumulate_grad((grad_output * x_hat).sum(axis=0))
-            self.beta.accumulate_grad(grad_output.sum(axis=0))
-        g = grad_output * self.gamma.value
+            self.gamma.accumulate_grad((grad_output * x_hat).sum(axis=-2))
+            self.beta.accumulate_grad(grad_output.sum(axis=-2))
+        g = grad_output * self.gamma.value[..., None, :]
         if not cache["training"]:
             return [g * inv_std]
-        n = x_hat.shape[0]
         # Standard batch-norm backward through the batch statistics.
         dx = (
-            g - g.mean(axis=0) - x_hat * (g * x_hat).mean(axis=0)
+            g - g.mean(-2, keepdims=True) - x_hat * (g * x_hat).mean(-2, keepdims=True)
         ) * inv_std
         return [dx]
 
@@ -273,7 +275,7 @@ class BatchNorm(Layer):
 
 
 class Concatenation(Layer):
-    """Concatenate rank-1 feature inputs along the feature axis."""
+    """Concatenate rank-1 feature inputs along the feature (last) axis."""
 
     def _build(self, input_shapes: list[Shape]) -> Shape:
         if not input_shapes:
@@ -286,12 +288,12 @@ class Concatenation(Layer):
         return (sum(s[0] for s in input_shapes),)
 
     def _forward(self, inputs, training, cache):
-        cache["widths"] = [a.shape[1] for a in inputs]
-        return np.concatenate(inputs, axis=1)
+        cache["widths"] = [a.shape[-1] for a in inputs]
+        return np.concatenate(inputs, axis=-1)
 
     def _backward(self, grad_output, cache, through):
         splits = np.cumsum(cache["widths"])[:-1]
-        return list(np.split(grad_output, splits, axis=1))
+        return list(np.split(grad_output, splits, axis=-1))
 
 
 class Slice(Layer):
@@ -314,14 +316,14 @@ class Slice(Layer):
         return (self.stop - self.start,)
 
     def _forward(self, inputs, training, cache):
-        cache["width"] = inputs[0].shape[1]
+        cache["width"] = inputs[0].shape[-1]
         # A view, not a copy — the guide's "views over copies" idiom; the
         # consumer layers never mutate activations in place.
-        return inputs[0][:, self.start : self.stop]
+        return inputs[0][..., self.start : self.stop]
 
     def _backward(self, grad_output, cache, through):
-        dx = np.zeros((grad_output.shape[0], cache["width"]), dtype=grad_output.dtype)
-        dx[:, self.start : self.stop] = grad_output
+        dx = np.zeros(grad_output.shape[:-1] + (cache["width"],), grad_output.dtype)
+        dx[..., self.start : self.stop] = grad_output
         return [dx]
 
 

@@ -7,7 +7,9 @@ cycle-consistency (MAE) terms with per-term weights, backpropagating each
 gradient through the relevant sub-model chain.
 
 Reductions are means over *all* elements (batch and features), so loss
-magnitudes are comparable across batch sizes and output widths.
+magnitudes are comparable across batch sizes and output widths.  For a
+stacked population ``[k, batch, ...]`` (rank >= 3) they are per trainer:
+one value each, each slice reduced and its gradient scaled as unstacked.
 """
 
 from __future__ import annotations
@@ -32,14 +34,21 @@ def _check_shapes(pred: np.ndarray, target: np.ndarray, name: str) -> None:
         )
 
 
+def _mean(elementwise: np.ndarray) -> tuple["float | np.ndarray", int]:
+    """The mean (one per trainer of a stack) and the count it divides by."""
+    if elementwise.ndim > 2:
+        n = elementwise[0].size
+        return np.array([float(a.sum() / n) for a in elementwise]), n
+    return float(elementwise.sum() / elementwise.size), elementwise.size
+
+
 def mean_absolute_error(
     pred: np.ndarray, target: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """L1 loss, mean over all elements; subgradient sign(pred - target)/N."""
     _check_shapes(pred, target, "mean_absolute_error")
     diff = pred - target
-    n = diff.size
-    value = float(np.abs(diff).sum() / n)
+    value, n = _mean(np.abs(diff))
     grad = np.sign(diff, dtype=np.float32) / np.float32(n)
     return value, grad
 
@@ -50,8 +59,7 @@ def mean_squared_error(
     """L2 loss, mean over all elements; gradient 2(pred - target)/N."""
     _check_shapes(pred, target, "mean_squared_error")
     diff = (pred - target).astype(np.float32)
-    n = diff.size
-    value = float(np.square(diff).sum() / n)
+    value, n = _mean(np.square(diff))
     grad = (2.0 / n) * diff
     return value, grad
 
@@ -69,8 +77,7 @@ def bce_with_logits(
     t = np.asarray(targets, dtype=np.float32)
     if np.any(t < 0) or np.any(t > 1):
         raise ValueError("bce_with_logits targets must lie in [0, 1]")
-    n = z.size
-    value = float((F.softplus(z) - t * z).sum() / n)
+    value, n = _mean(F.softplus(z) - t * z)
     grad = (F.sigmoid(z) - t) / np.float32(n)
     return value, grad
 

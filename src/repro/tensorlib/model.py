@@ -119,6 +119,19 @@ class Model:
         for name, value in state.items():
             self._weights_by_name[name].assign(value)
 
+    def stack(self, models: Sequence["Model"]) -> None:
+        """Hold same-architecture ``models``' weights as one ``[k, ...]``
+        stack; :meth:`unstack` writes the slices back."""
+        for w in self._weights:
+            w.value = np.stack([m._weights_by_name[w.name].value for m in models])
+            if w.grad.shape != w.value.shape:
+                w.grad = np.zeros_like(w.value)
+
+    def unstack(self, models: Sequence["Model"]) -> None:
+        for w in self._weights:
+            for value, m in zip(w.value, models):
+                m._weights_by_name[w.name].assign(value)
+
     def serialize_state(self) -> bytes:
         """Pack the state into one buffer (the LTFB wire format)."""
         return pack_arrays(self.get_state())

@@ -7,6 +7,9 @@ restored alongside its model.
 
 All updates are performed in place on the weight value buffers (no
 reallocation per step — the NumPy guide's in-place idiom).
+
+:meth:`Optimizer.stack` steps k trainers' stacked ``[k, ...]`` weights,
+each slice exactly as that trainer's own optimizer would.
 """
 
 from __future__ import annotations
@@ -86,33 +89,72 @@ class Optimizer(ABC):
         self.schedule = _as_schedule(lr)
         self.step_count = 0
         self._slots: dict[str, dict[str, np.ndarray]] = {}
+        #: The per-trainer optimizers a stacked optimizer steps, or None.
+        self.members: list[Optimizer] | None = None
 
     @property
     def learning_rate(self) -> float:
         return self.schedule.learning_rate(self.step_count)
+
+    def hyperparameters(self) -> dict:
+        """Constructor arguments besides the learning rate."""
+        return {}
+
+    @staticmethod
+    def stack(members: list["Optimizer"]) -> "Optimizer":
+        """An optimizer stepping ``members``' ``[k, ...]`` stack: it advances
+        their step counts, gathers their slots on first use (zeros where a
+        member has none) and returns them with :meth:`unstack`."""
+        first = members[0]
+        stacked = type(first)(first.schedule, **first.hyperparameters())
+        stacked.members = list(members)
+        return stacked
+
+    def unstack(self) -> None:
+        """Scatter a stacked optimizer's slots back to its members."""
+        for j, member in enumerate(self.members):
+            for wname, slots in self._slots.items():
+                member._slots[wname] = {k: v[j].copy() for k, v in slots.items()}
 
     def step(self, weights: Iterable[Weight]) -> None:
         """Apply one update using each weight's accumulated gradient.
 
         Non-trainable weights are skipped.  Gradients are *not* cleared —
         that is the training loop's job (so multiple loss phases can share
-        one step).
+        one step).  Each trainer's step constants (:meth:`_scalars`) reach
+        :meth:`_apply` as a float32 ``[k, 1, ...]`` column (k = 1 unstacked).
         """
-        lr = self.learning_rate
+        members = self.members or [self]
+        per_trainer = [m._scalars() for m in members]
+        columns = {
+            k: np.array([s[k] for s in per_trainer], dtype=np.float32)
+            for k in per_trainer[0]
+        }
         for w in weights:
-            if not w.trainable:
-                continue
-            self._apply(w, lr)
-        self.step_count += 1
+            if w.trainable:
+                shape = (-1,) + (1,) * (w.value.ndim - 1)
+                self._apply(w, **{k: c.reshape(shape) for k, c in columns.items()})
+        for m in members:
+            m.step_count += 1
+
+    def _scalars(self) -> dict[str, float]:
+        """This step's constants from the schedule and ``step_count``."""
+        return {"lr": self.learning_rate}
 
     def _slot(self, w: Weight, name: str) -> np.ndarray:
         slots = self._slots.setdefault(w.name, {})
         if name not in slots:
-            slots[name] = np.zeros_like(w.value)
+            if self.members is None:
+                slots[name] = np.zeros_like(w.value)
+            else:
+                zeros = np.zeros_like(w.value[0])
+                slots[name] = np.stack(
+                    [m._slots.get(w.name, {}).get(name, zeros) for m in self.members]
+                )
         return slots[name]
 
     @abstractmethod
-    def _apply(self, w: Weight, lr: float) -> None: ...
+    def _apply(self, w: Weight, lr) -> None: ...
 
     # -- checkpointing -----------------------------------------------------
 
@@ -141,7 +183,7 @@ class Optimizer(ABC):
 class SGD(Optimizer):
     """Plain stochastic gradient descent."""
 
-    def _apply(self, w: Weight, lr: float) -> None:
+    def _apply(self, w: Weight, lr) -> None:
         w.value -= lr * w.grad
 
 
@@ -160,7 +202,10 @@ class Momentum(Optimizer):
         self.momentum = float(momentum)
         self.nesterov = bool(nesterov)
 
-    def _apply(self, w: Weight, lr: float) -> None:
+    def hyperparameters(self) -> dict:
+        return {"momentum": self.momentum, "nesterov": self.nesterov}
+
+    def _apply(self, w: Weight, lr) -> None:
         v = self._slot(w, "velocity")
         v *= self.momentum
         v -= lr * w.grad
@@ -185,14 +230,24 @@ class Adam(Optimizer):
             raise ValueError("invalid Adam hyperparameters")
         self.beta1, self.beta2, self.epsilon = float(beta1), float(beta2), float(epsilon)
 
-    def _apply(self, w: Weight, lr: float) -> None:
+    def hyperparameters(self) -> dict:
+        return {"beta1": self.beta1, "beta2": self.beta2, "epsilon": self.epsilon}
+
+    def _scalars(self) -> dict[str, float]:
+        t = self.step_count + 1
+        return {
+            "lr": self.learning_rate,
+            "correction1": 1 - self.beta1**t,
+            "correction2": 1 - self.beta2**t,
+        }
+
+    def _apply(self, w: Weight, lr, correction1, correction2) -> None:
         m = self._slot(w, "m")
         v = self._slot(w, "v")
-        t = self.step_count + 1
         m *= self.beta1
         m += (1 - self.beta1) * w.grad
         v *= self.beta2
         v += (1 - self.beta2) * np.square(w.grad)
-        m_hat = m / (1 - self.beta1**t)
-        v_hat = v / (1 - self.beta2**t)
+        m_hat = m / correction1
+        v_hat = v / correction2
         w.value -= lr * m_hat / (np.sqrt(v_hat) + self.epsilon)

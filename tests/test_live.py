@@ -195,6 +195,26 @@ class TestLiveAggregator:
         hub.emit("round_end", round=2, train_s=1.0)
         assert len(agg.alerts) == 1
 
+    def test_stall_rule_weighs_summed_trainer_time(self):
+        """Two trainers training concurrently for a 1 s phase: their 0.8 s
+        of summed stall is 80% of the wall clock but 40% of the 2 s they
+        trained, which is the share the rule judges."""
+        hub = TelemetryHub()
+        agg = LiveAggregator(
+            stall_fraction_threshold=0.5, warmup_rounds=0
+        ).attach(hub)
+        hub.subscribe(agg)
+        for name in ("t0", "t1"):
+            hub.emit("fetch_stall", trainer=name, stall_s=0.4, overlap_s=0.0)
+            hub.emit("step_end", trainer=name, steps=4, elapsed_s=1.0)
+        hub.emit("round_end", round=0, train_s=1.0)
+        assert not agg.alerts
+        for name in ("t0", "t1"):
+            hub.emit("fetch_stall", trainer=name, stall_s=0.6, overlap_s=0.0)
+            hub.emit("step_end", trainer=name, steps=4, elapsed_s=1.0)
+        hub.emit("round_end", round=1, train_s=1.0)
+        assert [a.kind for a in agg.alerts] == ["stall_regression"]
+
     def test_foreign_alerts_admitted_without_reemission(self):
         """``alert`` events the aggregator did not fire itself (the
         surrogate server's admission warnings, a replayed trace) go

@@ -432,10 +432,10 @@ class TestAsyncPairwiseRuns:
         for e in events.events:
             assert len(e["pairs"]) == 1 and len(e["bye"]) == 1
 
-        # An even population pairs everyone in every round.  No
-        # LiveAggregator here: its stall rule weighs the summed fetch
-        # stall of concurrently training trainers against the wall-clock
-        # train phase, and on 4 trainers over 2 workers it fires on noise.
+        # An even population pairs everyone in every round.  The stall
+        # rule weighs the summed fetch stall of 4 trainers training on 2
+        # workers against their summed train time, not the wall-clock
+        # train phase, so concurrency alone raises no stall alert.
         trainers = _population(tiny_dataset, tiny_spec, tiny_autoencoder, k=4)
         events = _PairingEvents()
         _, history = _run(
@@ -444,9 +444,12 @@ class TestAsyncPairwiseRuns:
             "async_pairwise",
             rounds=3,
             backend=resolve_backend(backend_name, max_workers=2),
-            callbacks=[events],
+            callbacks=[events, LiveAggregator()],
         )
         assert history.rounds_completed == 3
+        assert not [
+            w for w in history.health_warnings if w.kind == "stall_regression"
+        ], [w.render() for w in history.health_warnings]
         assert [e["topology"] for e in events.events] == ["async_pairwise"] * 3
         for e in events.events:
             assert len(e["pairs"]) == 2 and e["bye"] == []
