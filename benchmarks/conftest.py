@@ -7,8 +7,10 @@ here.  Reports are printed and archived under ``results/``.
 
 from __future__ import annotations
 
+import os
 import pathlib
 
+import numpy as np
 import pytest
 
 from repro.core.ensemble import EnsembleSpec
@@ -24,6 +26,13 @@ RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
 QUALITY_SEED = 2019
 QUALITY_SAMPLES = 12_288
 QUALITY_BATCH = 64
+
+
+def pytest_benchmark_update_machine_info(config, machine_info):
+    """Add what pytest-benchmark's host record lacks: NumPy and BLAS threads."""
+    machine_info["numpy"] = np.__version__
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        machine_info[var] = os.environ.get(var)
 
 
 def _quality_spec() -> EnsembleSpec:

@@ -729,8 +729,8 @@ class Isolated(Topology):
         return 0.0
 
 
-#: Names accepted by :func:`resolve_topology` and the ``--topology`` CLI
-#: flags (bench, tests).
+#: Names accepted by :func:`resolve_topology` and the tests'
+#: ``--topology`` flag.
 TOPOLOGY_NAMES = (
     "random_pairwise",
     "cellular_grid",

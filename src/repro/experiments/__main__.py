@@ -170,7 +170,7 @@ def _trace_report(argv: list[str]) -> int:
         default="text",
         help="text: human-readable report (default); json: the full "
         "machine-readable summary (phases, counters, percentiles, "
-        "resources, health) for the bench harness and CI",
+        "resources, health) for scripts and CI",
     )
     args = parser.parse_args(argv)
     from repro.telemetry.report import render_trace_report, trace_summary

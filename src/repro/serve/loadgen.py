@@ -10,11 +10,14 @@ Two canonical drivers:
   or not earlier ones finished, like real exploration traffic.  This is
   the honest regime for tail latency: queueing delay accumulates when
   offered load exceeds capacity instead of silently throttling the
-  generator (the coordinated-omission trap).
+  generator (the coordinated-omission trap).  Each request's latency
+  runs from its *due* time on the schedule, so a generator that falls
+  behind (a blocked ``submit``, a late wake-up) charges its lag to the
+  requests it delayed instead of hiding it.
 
 Both return a :class:`LoadReport` with outcome counts and latency
-percentiles; the serve bench scenarios step ``qps`` upward and record
-p50/p95/p99 per step.
+percentiles; :func:`stepped_open_loop` steps ``qps`` upward and the
+``load-test`` CLI prints p50/p95/p99 per step.
 """
 
 from __future__ import annotations
@@ -147,7 +150,8 @@ def open_loop(
     n_requests: int = 128,
     deadline_s: float | None = None,
 ) -> LoadReport:
-    """Fixed-rate arrivals: one request every ``1/qps`` seconds."""
+    """Fixed-rate arrivals: one request every ``1/qps`` seconds, each
+    timed from its due time ``start + i / qps``."""
     if qps <= 0:
         raise ValueError("qps must be positive")
     params = np.asarray(params, dtype=np.float32)
@@ -156,11 +160,11 @@ def open_loop(
     interval = 1.0 / qps
     start = time.perf_counter()
     for i in range(n_requests):
-        wait = start + i * interval - time.perf_counter()
+        due = start + i * interval
+        wait = due - time.perf_counter()
         if wait > 0:
             time.sleep(wait)
         row = params[i % len(params)]
-        submitted = time.perf_counter()
         done = threading.Event()
         pending.append(done)
         try:
@@ -170,7 +174,7 @@ def open_loop(
             done.set()
             continue
 
-        def on_done(f, submitted=submitted, done=done) -> None:
+        def on_done(f, due=due, done=done) -> None:
             try:
                 f.result()
             except DeadlineExceededError:
@@ -178,7 +182,7 @@ def open_loop(
             except Exception:
                 outcomes.record("failed")
             else:
-                outcomes.record("ok", time.perf_counter() - submitted)
+                outcomes.record("ok", time.perf_counter() - due)
             done.set()
 
         future.add_done_callback(on_done)

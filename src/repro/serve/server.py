@@ -9,7 +9,7 @@ phase is instrumented through the existing telemetry stacks:
   MetricsRegistry` — request/response/deadline-miss counters, queue-depth
   and model-version gauges, a labeled ``repro_serve_model_info`` family,
   and latency histograms (end-to-end, queue-wait, forward) whose
-  ``percentiles()`` give the p50/p95/p99 the bench scenarios report;
+  ``percentiles()`` give the server-side p50/p95/p99;
 - spans (``serve.queue_wait`` / ``serve.batch_assembly`` /
   ``serve.forward`` / ``serve.cache``) through the hub tracer, so served
   traffic lands on the same timeline as training when both share a hub;

@@ -2,8 +2,8 @@
 
 The paper's throughput claims are only credible next to a resource
 account — the data store's whole premise is trading node memory for
-file-system pressure, so a perf trajectory (``repro.bench``) without
-memory/CPU numbers can "improve" by silently ballooning its footprint.
+file-system pressure, so a throughput number without memory/CPU
+numbers can "improve" by silently ballooning its footprint.
 This module closes that gap with one cheap primitive and one callback:
 
 - :func:`sample_resources` — a point-in-time reading of the calling

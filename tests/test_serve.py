@@ -567,3 +567,25 @@ class TestLoadGenerators:
         )
         assert report.n_ok == 40
         assert report.offered_qps == 400.0
+
+    def test_open_loop_charges_generator_lag(self):
+        """Coordinated omission: a first ``submit`` that blocks 100 ms
+        delays every request due in that window; each one's latency must
+        run from its due time, not from when it was finally sent."""
+
+        class StallingServer:
+            def __init__(self):
+                self.calls = 0
+
+            def submit(self, row, deadline_s=None):
+                self.calls += 1
+                if self.calls == 1:
+                    time.sleep(0.1)
+                future = Future()
+                future.set_result(None)
+                return future
+
+        params = np.zeros((4, 5), dtype=np.float32)
+        report = open_loop(StallingServer(), params, qps=1000.0, n_requests=50)
+        assert report.n_ok == 50
+        assert report.percentiles()["p50"] >= 0.040
