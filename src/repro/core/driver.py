@@ -33,7 +33,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.trainer import Trainer
+from repro.core.trainer import ScoreTable, Trainer
 from repro.exec import ExecutionBackend, resolve_backend
 from repro.models.autoencoder import BatchLatent
 from repro.telemetry import Callback, TelemetryHub
@@ -173,6 +173,8 @@ class PopulationDriver:
         self.topology.bind(names, pairing_rng)
         self.judge = resolve_judge(judge)
         self.source = source
+        #: This round's scorings (DESIGN.md §6.2); never checkpointed.
+        self.scores = ScoreTable()
 
     # -- the one run signature ------------------------------------------------
 
@@ -266,6 +268,7 @@ class PopulationDriver:
         # Deferred import: repro.core.topology imports this module.
         from repro.core.topology import RoundPlan, run_pairwise_tournament
 
+        self.scores.clear()
         self._ingest_phase(round_index)
         topology = self.topology
         timing = {"tournament_s": 0.0, "exchange_s": 0.0}
@@ -354,9 +357,24 @@ class PopulationDriver:
 
     def _evaluate(self, trainer: Trainer) -> dict[str, float]:
         """One trainer's metrics on the global validation batch."""
-        batch = self.eval_batch
-        latent_real = self._eval_latent.of(trainer.surrogate.autoencoder, batch)
-        return trainer.evaluate(batch, latent_real)
+        batch, ae = self.eval_batch, trainer.surrogate.autoencoder
+        return self.scores.lookup(
+            ("eval",), trainer.surrogate, batch.values(),
+            lambda: trainer.evaluate(batch, self._eval_latent.of(ae, batch)),
+        )
+
+    def judge_score(self, trainer: Trainer, weights=None, scope=None) -> float:
+        """The judge's score of ``trainer``'s generator, or of a candidate's
+        exchanged ``weights`` from its seat, looked up in the round's table
+        before the judge is called."""
+        judge = self.judge
+        return self.scores.lookup(
+            judge.scoring(trainer), trainer.surrogate,
+            trainer.tournament_batch.values(),
+            lambda: judge.score(trainer) if weights is None
+            else judge.score_candidate(trainer, weights, scope),
+            weights,
+        )
 
     def _end_round(
         self,

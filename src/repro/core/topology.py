@@ -239,9 +239,10 @@ def run_pairwise_tournament(
     exchange packages (the only inter-trainer communication), then each
     side scores its own model and the foreign weights with the driver's
     :class:`~repro.eval.judge.Judge` and adopts when the partner scores
-    better (lower).  The default ``loss`` judge delegates to the
-    trainer's local tournament-set scoring in the pre-seam call order,
-    so loss-judged runs are bit-identical to the unjudged code.  Returns
+    better (lower), through the driver's round score table (on a shared
+    tournament set the second side's scores are hits).  The default
+    ``loss`` judge scores on the trainer's local tournament set, so
+    loss-judged runs are bit-identical to the unjudged code.  Returns
     the seconds spent on the exchange itself; tournament records,
     history accounting, telemetry, and backend dirty-marking all happen
     here so every pairwise topology shares one implementation.
@@ -275,8 +276,8 @@ def run_pairwise_tournament(
         (pair.a, a, pkg_b, b),
         (pair.b, b, pkg_a, a),
     ):
-        own_score = judge.score(me)
-        partner_score = judge.score_candidate(me, theirs["weights"], scope)
+        own_score = driver.judge_score(me)
+        partner_score = driver.judge_score(me, theirs["weights"], scope)
         adopt = partner_score < own_score
         if adopt:
             me.adopt_package(theirs)
@@ -551,13 +552,13 @@ class MultiDiscriminator(Topology):
                 neighborhood=self.neighborhood_of(g),
             )
         judge = driver.judge
-        own = [judge.score(t) for t in trainers]
+        own = [driver.judge_score(t) for t in trainers]
         agg = [
             float(
                 np.mean(
                     [
                         own[g] if j == g
-                        else judge.score_candidate(
+                        else driver.judge_score(
                             trainers[j], packages[g]["weights"], scope
                         )
                         for j in range(k)

@@ -18,6 +18,7 @@ population (:func:`train_lockstep`), bit-identical to k separate steps.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import time
 from contextlib import ExitStack
 from dataclasses import dataclass
@@ -28,14 +29,14 @@ import numpy as np
 from repro.core.enums import AdoptOptimizer, ExchangeScope
 from repro.datastore.pipeline import build_pipeline
 from repro.datastore.reader import Reader
-from repro.models.autoencoder import BatchLatent, LatentTable
+from repro.models.autoencoder import LatentTable
 from repro.models.cyclegan import ICFSurrogate, SurrogateConfig
 from repro.tensorlib.optimizers import Adam, Optimizer
 
 if TYPE_CHECKING:
     from repro.telemetry import TelemetryHub
 
-__all__ = ["TrainerConfig", "Trainer", "lockstep_groups", "train_lockstep"]
+__all__ = ["TrainerConfig", "Trainer", "ScoreTable", "lockstep_groups", "train_lockstep"]
 
 
 @dataclass(frozen=True)
@@ -113,13 +114,11 @@ class Trainer:
         self.prefetch_depth = int(prefetch_depth)
         self._pipeline = None
         self._pipeline_state: dict | None = None
-        # The frozen encoder's outputs, kept instead of recomputed: per
-        # silo sample (filled as epoch 0 streams through, gathered from
-        # afterwards) and for the fixed tournament set.  Derived state,
-        # refilled wherever the trainer lands: both pickle as empty, and
-        # neither is in a checkpoint or an exec-state snapshot.
+        # The frozen encoder's outputs per silo sample, kept instead of
+        # recomputed (filled as epoch 0 streams through, gathered from
+        # afterwards).  Derived state, refilled wherever the trainer lands:
+        # it pickles as empty and is in no checkpoint or exec-state snapshot.
         self.latent_table = LatentTable()
-        self._tournament_latent = BatchLatent()
         # Telemetry sink: population drivers attach their hub here so
         # train_steps can emit step_end events; None means uninstrumented.
         self.telemetry: TelemetryHub | None = None
@@ -238,8 +237,7 @@ class Trainer:
         the configured metric (lower is better for both metrics)."""
         batch = self.tournament_batch
         if self.config.tournament_metric == "val_loss":
-            latent_real = self._tournament_latent.of(self.surrogate.autoencoder, batch)
-            return self.surrogate.evaluate(batch, latent_real)["val_loss"]
+            return self.surrogate.evaluate(batch, inverse=False)["val_loss"]
         return self.surrogate.discriminator_score(batch)
 
     def score_candidate(
@@ -335,6 +333,41 @@ class _SwappedWeights:
         self._setter(self._own)
 
 
+class ScoreTable:
+    """One round's generator scorings, each computed once (DESIGN.md §6.2).
+    The key is the generator's content, so no row is ever invalidated: the
+    driver clears the table at every round start only to bound it."""
+
+    def __init__(self) -> None:
+        self._rows: dict = {}  # key -> (the set's arrays, held; the result)
+
+    def clear(self) -> None:
+        self._rows.clear()
+
+    def lookup(self, what, surrogate: ICFSurrogate, arrays, compute, weights=None):
+        """``compute()``, or what it returned for the same key (a dict comes
+        back as a copy); ``what=None`` always computes.  Key: ``what``, the
+        generator's F and G bytes (``surrogate``'s own, or a candidate's
+        exchanged ``weights``), the ``arrays`` by identity, the autoencoder
+        and its generation, and the config but for learning rates."""
+        if what is None:
+            return compute()
+        digest = hashlib.blake2b(digest_size=16)
+        if weights is None:
+            weights = surrogate.get_generator_state()
+        for name, value in weights.items():
+            if not name.startswith("discriminator/"):
+                digest.update(f"{name}{value.shape}".encode())
+                digest.update(np.ascontiguousarray(value))
+        arrays, ae = tuple(arrays), surrogate.autoencoder
+        key = (what, digest.digest(), *map(id, arrays), ae, ae.generation,
+               _config_sans_rates(surrogate))
+        if key not in self._rows:
+            self._rows[key] = (arrays, compute())
+        value = self._rows[key][1]
+        return dict(value) if isinstance(value, dict) else value
+
+
 # ---------------------------------------------------------------------------
 # Lockstep: a group of trainers as one stacked population
 # ---------------------------------------------------------------------------
@@ -343,15 +376,17 @@ class _SwappedWeights:
 def lockstep_key(trainer: Trainer) -> tuple:
     """Trainers stack when these match: surrogate config but learning rates,
     autoencoder object, batch size, optimizer classes and hyperparameters."""
-    cfg = dataclasses.replace(
-        trainer.surrogate.config, learning_rate=1.0, disc_learning_rate=1.0
-    )
+    cfg = _config_sans_rates(trainer.surrogate)
     optimizers = [
         (type(o), tuple(o.hyperparameters().items()))
         for o in (trainer.disc_optimizer, trainer.gen_optimizer)
     ]
     ae, batch = id(trainer.surrogate.autoencoder), trainer.config.batch_size
     return cfg, ae, batch, *optimizers
+
+
+def _config_sans_rates(surrogate: ICFSurrogate):
+    return dataclasses.replace(surrogate.config, learning_rate=1.0, disc_learning_rate=1.0)
 
 
 def lockstep_groups(trainers: Sequence[Trainer]) -> list[list[Trainer]]:

@@ -7,9 +7,8 @@ the mechanic (pair, exchange, score both, adopt the winner) lives in
 agnostic.  This module supplies the seam:
 
 - :class:`LossJudge` — the paper's policy, **bit-identical** to the
-  pre-seam behaviour: it delegates to the exact trainer methods in the
-  exact call order the tournament always used (own score first, then
-  the candidate's), so loss-judged Histories do not change by a bit.
+  pre-seam behaviour: it delegates to the trainer's own scoring methods,
+  so loss-judged Histories do not change by a bit.
 - :class:`DivergenceJudge` — ranks on distributional fidelity instead:
   the generator's output distribution over the tournament holdout's
   params vs the holdout's ground-truth scalars, scored with one metric
@@ -19,7 +18,8 @@ agnostic.  This module supplies the seam:
 
 Both judges are deterministic: the loss path is the existing scoring
 path, and the divergence path is a pure forward pass plus the fixed
-estimator protocol — neither consumes any RNG stream.
+estimator protocol — neither consumes any RNG stream.  Drivers call a
+judge only on a miss of their round's score table (:meth:`Judge.scoring`).
 
 Drivers resolve their ``judge=`` argument through :func:`resolve_judge`
 (the :func:`~repro.core.topology.resolve_topology` idiom): ``None`` and
@@ -62,13 +62,23 @@ class Judge(ABC):
         """Score foreign ``weights`` from the trainer's seat, leaving the
         trainer's own model untouched."""
 
+    def scoring(self, trainer):
+        """A score-table key for what a score from ``trainer``'s seat
+        computes, if it reads only the generator and the tournament set;
+        ``None`` (the default) scores every call afresh."""
+        return None
+
 
 class LossJudge(Judge):
     """The paper's judge: the local tournament holdout's configured loss
-    metric, delegated to the trainer's own scoring methods so the call
-    order (and therefore every History byte) matches the pre-seam code."""
+    metric, delegated to the trainer's own scoring methods, so every
+    History byte matches the pre-seam code (a score-table hit calls none)."""
 
     name = "loss"
+
+    def scoring(self, trainer):
+        # The discriminator metric reads the seat's own D.
+        return ("val_loss",) if trainer.config.tournament_metric == "val_loss" else None
 
     def score(self, trainer) -> float:
         return trainer.tournament_score()
@@ -117,6 +127,9 @@ class DivergenceJudge(Judge):
     def score_candidate(self, trainer, weights: Mapping, scope) -> float:
         with trainer.swapped_weights(weights, scope):
             return self.score(trainer)
+
+    def scoring(self, trainer):
+        return ("divergence", self.metric, self.bins, self.span, self.eps)
 
 
 #: Built-in judge registry keys.

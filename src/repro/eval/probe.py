@@ -169,8 +169,11 @@ class QualityProbe(Callback):
                     if tracer is not None else nullcontext()
                 )
                 with trainer_span:
-                    scalars_hat, _ = trainer.surrogate.predict_outputs(params)
-                    result = prepared.score(scalars_hat)
+                    result = driver.scores.lookup(
+                        ("probe", self.bins, self.span, self.eps),
+                        trainer.surrogate, (params, scalars),
+                        lambda: prepared.score(trainer.surrogate.predict_outputs(params)[0]),
+                    )
                 metrics = {k: result.value(k) for k in self.EXPORTED}
                 divergence[trainer.name] = metrics
                 self.trajectory.setdefault(trainer.name, []).append(

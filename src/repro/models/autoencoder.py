@@ -293,12 +293,12 @@ class LatentTable:
 
 class BatchLatent:
     """Latents of the one fixed batch its owner keeps scoring on (a
-    trainer's tournament set, a driver's validation set): encoded as one
-    block, once per autoencoder asked about, and again only after that
-    encoder's weights changed or the owner moved to other arrays.  The
-    arrays are recognized by identity, so writing *into* them goes
-    unnoticed — hand over new arrays instead.  The returned latents are
-    shared between calls; treat them as read-only."""
+    driver's validation set): encoded as one block, once per autoencoder
+    asked about, and again only after that encoder's weights changed or
+    the owner moved to other arrays.  The arrays are recognized by
+    identity, so writing *into* them goes unnoticed — hand over new arrays
+    instead.  The returned latents are shared between calls; treat them
+    as read-only."""
 
     def __init__(self) -> None:
         self._scalars: np.ndarray | None = None

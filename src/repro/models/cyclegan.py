@@ -449,35 +449,32 @@ class ICFSurrogate:
         self,
         batch: Mapping[str, np.ndarray],
         latent_real: np.ndarray | None = None,
+        inverse: bool = True,
     ) -> dict[str, float]:
         """Validation metrics on a batch; no parameter updates.
 
         ``val_loss`` (forward fidelity + cycle consistency, per the
         paper's "forward and inverse loss" quality measure) is the LTFB
         tournament/validation criterion — lower is better.
-        ``latent_real`` as in :meth:`train_step`.
+        ``latent_real`` as in :meth:`train_step`.  ``inverse=False`` skips
+        ``inverse_mae``, the one metric that reads the batch's encoding.
         """
         params, scalars, images = batch["params"], batch["scalars"], batch["images"]
+        mae = losses.mean_absolute_error_value
         z = self.predict_latent(params)
         s_hat, i_hat = self.autoencoder.decode(z)
-        fwd_s, _ = losses.mean_absolute_error(s_hat, scalars)
-        fwd_i, _ = losses.mean_absolute_error(i_hat, images)
-        cyc, _ = losses.mean_absolute_error(self.invert_latent(z), params)
-        if latent_real is None:
-            latent_real = self.autoencoder.encode(scalars, images)
-        inv, _ = losses.mean_absolute_error(self.invert_latent(latent_real), params)
+        fwd_s, fwd_i = mae(s_hat, scalars), mae(i_hat, images)
+        cyc = mae(self.invert_latent(z), params)
+        metrics = {"forward_scalar_mae": fwd_s, "forward_image_mae": fwd_i, "cycle_mae": cyc}
+        if inverse:
+            if latent_real is None:
+                latent_real = self.autoencoder.encode(scalars, images)
+            metrics["inverse_mae"] = mae(self.invert_latent(latent_real), params)
         cfg = self.config
-        return {
-            "forward_scalar_mae": fwd_s,
-            "forward_image_mae": fwd_i,
-            "cycle_mae": cyc,
-            "inverse_mae": inv,
-            "val_loss": (
-                cfg.w_scalar_fidelity * fwd_s
-                + cfg.w_image_fidelity * fwd_i
-                + cfg.w_cycle * cyc
-            ),
-        }
+        metrics["val_loss"] = (
+            cfg.w_scalar_fidelity * fwd_s + cfg.w_image_fidelity * fwd_i + cfg.w_cycle * cyc
+        )
+        return metrics
 
     def discriminator_score(self, batch: Mapping[str, np.ndarray]) -> float:
         """Local-discriminator tournament metric: BCE of D(F(x)) against

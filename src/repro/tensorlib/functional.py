@@ -53,7 +53,8 @@ def relu_grad(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def leaky_relu(x: np.ndarray, alpha: float = 0.2) -> np.ndarray:
-    return np.where(x > 0.0, x, alpha * x)
+    # The np.where select, bit for bit, for 0 < alpha < 1 (Activation checks).
+    return np.maximum(x, alpha * x)
 
 
 def leaky_relu_grad(x: np.ndarray, y: np.ndarray, alpha: float = 0.2) -> np.ndarray:
@@ -73,15 +74,18 @@ def elu_grad(x: np.ndarray, y: np.ndarray, alpha: float = 1.0) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic sigmoid.
+    """Numerically stable logistic sigmoid: ``exp(min(x, 0)) / (1 + exp(-|x|))``.
 
-    ``exp`` is only ever evaluated on ``-|x|``, so it cannot overflow for
-    large-magnitude logits; the sign picks which of the two algebraically
-    equal forms is the well-conditioned one.
+    ``exp`` never sees a positive argument, so it cannot overflow for
+    large-magnitude logits.  The numerator is ``exp(-|x|)`` for x < 0 and
+    ``1`` for x >= 0: bit for bit the two well-conditioned forms a sign
+    select would pick between, without the select.
     """
-    e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+    num = np.exp(np.minimum(x, 0.0))
+    den = np.exp(-np.abs(x))
+    den += 1.0
+    num /= den
+    return num
 
 
 def sigmoid_grad(x: np.ndarray, y: np.ndarray) -> np.ndarray:

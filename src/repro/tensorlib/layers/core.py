@@ -147,6 +147,8 @@ class Activation(Layer):
             raise ValueError(
                 f"unknown activation {kind!r}; available: {sorted(F.ACTIVATIONS)}"
             )
+        if kind == "leaky_relu" and not 0.0 < kwargs.get("alpha", 0.2) < 1.0:
+            raise ValueError(f"leaky_relu alpha must be in (0, 1), got {kwargs['alpha']}")
         self.kind = kind
         self.kwargs = dict(kwargs)
         self._fn, self._grad_fn = F.ACTIVATIONS[kind]

@@ -20,6 +20,7 @@ from repro.tensorlib import functional as F
 
 __all__ = [
     "mean_absolute_error",
+    "mean_absolute_error_value",
     "mean_squared_error",
     "bce_with_logits",
     "softmax_cross_entropy",
@@ -51,6 +52,12 @@ def mean_absolute_error(
     value, n = _mean(np.abs(diff))
     grad = np.sign(diff, dtype=np.float32) / np.float32(n)
     return value, grad
+
+
+def mean_absolute_error_value(pred: np.ndarray, target: np.ndarray) -> float:
+    """:func:`mean_absolute_error`'s value alone, bit for bit (no gradient)."""
+    _check_shapes(pred, target, "mean_absolute_error")
+    return _mean(np.abs(pred - target))[0]
 
 
 def mean_squared_error(

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.tensorlib import functional as F
+from repro.tensorlib.layers import Activation
 
 
 @pytest.mark.parametrize("name", sorted(F.ACTIVATIONS))
@@ -146,3 +147,93 @@ def test_sigmoid_bit_equal_to_masked_formulation(dtype):
             assert y.dtype == dtype and y.shape == x.shape
             np.testing.assert_array_equal(y, _masked_sigmoid(x))
             np.testing.assert_array_equal(x, before)
+
+
+# -- the select-free kernels equal their np.where forms, bit for bit -----------
+
+
+def _sigmoid_where(x):
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
+
+
+def _leaky_relu_where(x, alpha=0.2):
+    return np.where(x > 0.0, x, alpha * x)
+
+
+def _activation_shapes(rows, hidden, heads):
+    """(rows, width) of every activation of one workload's surrogate:
+    hidden widths run leaky_relu, heads (inverse output, decoder image
+    head, discriminator logit) run sigmoid; both kernels see them all."""
+    return [(r, w) for r in rows for w in (*hidden, *heads)]
+
+
+#: offline_serial / offline_process (batch 64, tournament 361 and
+#: validation 492 rows, small_schema(16)) and streaming_ingest (batch 32,
+#: 128-row calibration set, 512-row probe reference, 8x8x2x2 images).
+_WORKLOAD_SHAPES = _activation_shapes(
+    (64, 361, 492), (256, 128, 96, 64, 32), (5, 3072, 1)
+) + _activation_shapes((32, 128, 512), (48, 32, 24, 16, 8), (5, 256, 1))
+
+_SPECIALS = np.array(
+    [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-45, -1e-45, 1e-40, -1e-40,
+     3.4e38, -3.4e38, 88.7, -88.7, 104.0, -104.0],
+    dtype=np.float32,
+)
+
+
+def _kernel_inputs(shape, seed, scale, extra):
+    """Normal float32 values at ``scale`` with every special value (and
+    ``extra`` ones) sprinkled in; returned as a column slice of a wider
+    array (how the decoder's image head reaches sigmoid) and contiguous."""
+    rng = np.random.default_rng(seed)
+    wide = (rng.standard_normal((*shape[:-1], shape[-1] + 15)) * scale).astype(np.float32)
+    specials = np.concatenate([_SPECIALS, np.asarray(extra, dtype=np.float32)])
+    flat = wide.reshape(-1)
+    flat[rng.integers(0, flat.size, 4 * specials.size)] = np.resize(specials, 4 * specials.size)
+    view = wide[..., 15:]
+    return view, np.ascontiguousarray(view)
+
+
+def _with_every_workload_shape(test):
+    for rows, width in _WORKLOAD_SHAPES:
+        for k in (1, 4):
+            test = example(rows=rows, width=width, k=k, seed=rows * width + k,
+                           scale=1.0, extra=[])(test)
+    return test
+
+
+@_with_every_workload_shape
+@given(
+    rows=st.sampled_from(sorted({r for r, _ in _WORKLOAD_SHAPES})),
+    width=st.sampled_from(sorted({w for _, w in _WORKLOAD_SHAPES})),
+    k=st.sampled_from((1, 4)),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from((1e-40, 1e-3, 1.0, 30.0, 1e4)),
+    extra=st.lists(st.floats(width=32), max_size=16),
+)
+@settings(max_examples=30, deadline=None)
+def test_select_free_kernels_bit_equal_to_where_forms(rows, width, k, seed, scale, extra):
+    """sigmoid and leaky_relu equal their np.where forms bit for bit on
+    float32 with +-0, +-inf, NaN and subnormals, at every activation
+    shape of the three training workloads, unstacked (k = 1) and as a
+    stacked population (k = 4)."""
+    shape = (rows, width) if k == 1 else (k, rows, width)
+    with np.errstate(all="ignore"):
+        for x in _kernel_inputs(shape, seed, scale, extra):
+            before = x.copy()
+            for new, old in ((F.sigmoid(x), _sigmoid_where(x)),
+                             (F.leaky_relu(x), _leaky_relu_where(x))):
+                assert new.dtype == np.float32 and new.shape == shape
+                assert np.array_equal(new.view(np.uint32), old.view(np.uint32))
+            assert np.array_equal(x.view(np.uint32), before.view(np.uint32))
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, -0.2, 1.5])
+def test_leaky_relu_layer_refuses_alpha_outside_open_unit_interval(alpha):
+    # max(x, alpha * x) is the select only for 0 < alpha < 1 (at alpha = 0,
+    # +inf * 0 is NaN).
+    with pytest.raises(ValueError, match="alpha"):
+        Activation("act", "leaky_relu", alpha=alpha)
+    Activation("act", "leaky_relu", alpha=0.01)

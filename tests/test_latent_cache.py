@@ -395,7 +395,6 @@ class TestDerivedStateStaysHome:
         clone = pickle.loads(pickle.dumps(t))
         assert len(clone.latent_table) == 0 and clone.latent_table.hits == 0
         t.latent_table = LatentTable()
-        t._tournament_latent = BatchLatent()
         assert sizes() == warm
         # The clone trains on exactly as the original does.
         assert clone.train_steps(3) == t.train_steps(3)
