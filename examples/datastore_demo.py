@@ -8,9 +8,7 @@ Reproduces Section III-B's behaviour functionally:
 2. a naive reader hammers the file system every epoch;
 3. the data store (dynamic and preloaded modes) stops touching the file
    system after population, assembling every mini-batch by shuffling
-   owner-rank shards (inter- vs intra-node transfers are counted);
-4. the same shard/exchange logic runs over real point-to-point messages
-   on the thread-backed SPMD communicator.
+   owner-rank shards (inter- vs intra-node transfers are counted).
 
 Run:  python examples/datastore_demo.py
 """
@@ -20,9 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cluster import SimulatedFilesystem
-from repro.comm import contiguous_placement, run_spmd
+from repro.comm import contiguous_placement
 from repro.datastore import DistributedDataStore, NaiveReader, StoreReader
-from repro.datastore.store import spmd_exchange_minibatch
 from repro.jag import JagDatasetConfig, small_schema
 from repro.utils.rng import RngFactory
 from repro.utils.units import format_bytes
@@ -96,25 +93,6 @@ def main() -> None:
         f"({fs.stats.opens / len(paths):.0f} per bundle — one each)"
     )
     epoch_stats(fs, preloaded, "preload")
-
-    print("\nmini-batch exchange over real SPMD messages (4 rank threads):")
-    shard_of = [
-        {int(s): {"tag": np.array([s], dtype=np.float32)} for s in range(SAMPLES) if s % RANKS == r}
-        for r in range(RANKS)
-    ]
-    owner = {s: s % RANKS for s in range(SAMPLES)}
-    batch = rngs.generator("batch").choice(SAMPLES, size=BATCH, replace=False)
-
-    def rank_program(comm):
-        return spmd_exchange_minibatch(comm, shard_of[comm.rank], owner, batch)
-
-    per_rank = run_spmd(RANKS, rank_program, timeout=30)
-    reassembled = [int(s["tag"][0]) for chunk in per_rank for s in chunk]
-    assert reassembled == batch.tolist()
-    print(
-        f"  batch of {BATCH} reassembled in order across {RANKS} ranks "
-        f"({[len(chunk) for chunk in per_rank]} samples per consumer rank)"
-    )
 
 
 if __name__ == "__main__":

@@ -94,7 +94,7 @@ def main() -> None:
                 out, tape = model.forward({"in": train_x[take]}, outputs=["out"])
                 _, grad = losses.softmax_cross_entropy(out["out"], train_y[take])
                 model.backward({"out": grad}, tape)
-                opt.step(model.trainable_weights)
+                opt.step(model.weights)
 
         # Tournament: pair, exchange full models, keep the better one on
         # the shared held-out tournament set.

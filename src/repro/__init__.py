@@ -4,7 +4,7 @@ Models on Massive Scientific Datasets" (Jacobs et al., CLUSTER 2019).
 Subpackages (see README.md for the architecture overview):
 
 - :mod:`repro.tensorlib` — NumPy neural-network substrate (LBANN analog);
-- :mod:`repro.comm` — SPMD communicator and collective cost models
+- :mod:`repro.comm` — rank placement and collective cost models
   (Aluminum analog);
 - :mod:`repro.cluster` — simulated Lassen-class machine: compute and
   parallel-file-system models;

@@ -1,39 +1,21 @@
-"""Communication substrate (Aluminum analog).
+"""Communication cost models (Aluminum analog).
 
-Two complementary pieces:
+- :mod:`repro.comm.topology` — which node each rank of a trainer sits on.
+- :mod:`repro.comm.costmodel` — alpha-beta cost models for point-to-point
+  and collective operations over that placement (NVLink intra-node vs
+  InfiniBand inter-node).  The cluster performance simulator uses them to
+  price the data store's shuffle, model exchange and the data-parallel
+  gradient allreduce at Lassen scale.
 
-- :mod:`repro.comm.spmd` — a *functional* thread-backed SPMD communicator
-  with an mpi4py-flavoured API (``send``/``recv``/``bcast``/``allreduce``/
-  ``alltoall``/…).  Used to run the distributed data store and collective
-  algorithms for real, in-process, for tests and examples.
-- :mod:`repro.comm.costmodel` — *performance* alpha-beta cost models for
-  point-to-point and collective operations over a machine topology
-  (NVLink intra-node vs InfiniBand inter-node).  Used by the cluster
-  performance simulator to price communication at Lassen scale.
-
-The split mirrors the reproduction strategy: algorithms run for real at
-laptop scale; timing behaviour is modelled at paper scale.
+Nothing here sends a message: every collective is priced, not run.
 """
 
 from repro.comm.topology import RankPlacement, contiguous_placement
 from repro.comm.costmodel import CollectiveCostModel, LinkParams
-from repro.comm.spmd import SpmdComm, run_spmd
-from repro.comm.algorithms import (
-    hierarchical_allreduce,
-    ring_allgather,
-    ring_allreduce,
-    ring_reduce_scatter,
-)
 
 __all__ = [
     "RankPlacement",
     "contiguous_placement",
     "LinkParams",
     "CollectiveCostModel",
-    "SpmdComm",
-    "run_spmd",
-    "ring_reduce_scatter",
-    "ring_allgather",
-    "ring_allreduce",
-    "hierarchical_allreduce",
 ]

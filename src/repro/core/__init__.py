@@ -4,7 +4,7 @@ and the Lassen-scale performance models.
 Functional side (real NumPy training at laptop scale):
 
 - :mod:`repro.core.trainer` — a *trainer*: compute resources + a surrogate
-  model + data readers + optimizers, trained with SGD/Adam.
+  model + data readers + optimizers, trained with Adam.
 - :mod:`repro.core.ltfb` — the "Let a Thousand Flowers Bloom" tournament:
   partitioned data silos, independent training, periodic random pairing,
   generator exchange, local-tournament winner selection.

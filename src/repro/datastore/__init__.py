@@ -5,8 +5,6 @@ across the ranks of a trainer, and assembles every mini-batch by shuffling
 locally cached samples to the ranks that need them — after the first epoch
 (dynamic mode) or a preload phase, *no data is read from the file system*.
 
-- :mod:`repro.datastore.conduit` — type-agnostic hierarchical sample nodes
-  (Conduit analog).
 - :mod:`repro.datastore.bundle` — multi-sample bundle files (HDF5 analog)
   on the simulated PFS.
 - :mod:`repro.datastore.store` — the distributed store: ownership,
@@ -23,7 +21,6 @@ locally cached samples to the ranks that need them — after the first epoch
   exploration-ordered files).
 """
 
-from repro.datastore.conduit import ConduitNode
 from repro.datastore.bundle import Bundle, bundle_paths_for, write_bundles
 from repro.datastore.store import (
     DataStoreStats,
@@ -43,7 +40,6 @@ from repro.datastore.pipeline import BatchPipeline, PrefetchingReader, build_pip
 from repro.datastore.partition import partition_indices, partition_items
 
 __all__ = [
-    "ConduitNode",
     "Bundle",
     "write_bundles",
     "bundle_paths_for",

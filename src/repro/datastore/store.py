@@ -14,10 +14,6 @@ Functional, in-process model of the store across the ranks of one trainer:
   consumer ranks; the store records how many fetches crossed node
   boundaries (the shuffle the cost model prices and the store overlaps
   with compute).
-
-The same shard/exchange logic can be driven by the SPMD communicator
-(:func:`spmd_exchange_minibatch`) to demonstrate the store working over
-real point-to-point messages.
 """
 
 from __future__ import annotations
@@ -29,7 +25,6 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 import numpy as np
 
 from repro.cluster.filesystem import SimulatedFilesystem
-from repro.comm.spmd import SpmdComm
 from repro.comm.topology import RankPlacement
 
 if TYPE_CHECKING:
@@ -40,7 +35,6 @@ __all__ = [
     "DataStoreStats",
     "DistributedDataStore",
     "consumer_ranks_for_batch",
-    "spmd_exchange_minibatch",
 ]
 
 
@@ -383,34 +377,3 @@ class DistributedDataStore:
             batch[name] = np.stack([s[name] for s in samples], axis=0)
         return batch
 
-
-def spmd_exchange_minibatch(
-    comm: SpmdComm,
-    shard: Mapping[int, Mapping[str, np.ndarray]],
-    owner_of: Mapping[int, int],
-    batch_ids: Sequence[int],
-) -> list[dict[str, np.ndarray]]:
-    """Run the store's mini-batch exchange over real SPMD messages.
-
-    Every rank holds ``shard`` (its own cached samples) and the global
-    ownership map; ``batch_ids`` lists the global mini-batch.  Each rank
-    sends the samples it owns to the consumers that need them via a
-    personalized all-to-all and returns the samples *it* consumes, in
-    batch order.  This mirrors the non-blocking per-step shuffle of the
-    paper's store (modulo the background-thread overlap, which is a
-    performance concern handled by the cost model).
-    """
-    ids = np.asarray(batch_ids, dtype=np.int64)
-    consumers = consumer_ranks_for_batch(ids.size, comm.size)
-    # Build per-destination payloads from locally owned samples.
-    outgoing: list[list[tuple[int, int, dict]]] = [[] for _ in range(comm.size)]
-    for pos, sid_np in enumerate(ids):
-        sid = int(sid_np)
-        if owner_of[sid] == comm.rank:
-            dest = int(consumers[pos])
-            outgoing[dest].append((pos, sid, dict(shard[sid])))
-    received = comm.alltoall(outgoing)
-    mine = sorted(
-        (pos, sample) for batch in received for pos, _sid, sample in batch
-    )
-    return [sample for _pos, sample in mine]

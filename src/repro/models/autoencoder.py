@@ -161,7 +161,7 @@ class MultimodalAutoencoder:
             dec_tape,
         )["latent"]
         self.encoder.backward({"latent": latent_grad}, enc_tape)
-        optimizer.step(self.encoder.trainable_weights + self.decoder.trainable_weights)
+        optimizer.step(self.encoder.weights + self.decoder.weights)
         self.generation += 1
         return {
             "scalar_mae": s_loss,

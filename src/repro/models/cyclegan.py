@@ -378,7 +378,7 @@ class ICFSurrogate:
             fake["out"], np.zeros(label_shape, dtype=np.float32)
         )
         self.discriminator.backward({"out": g_fake}, tape)
-        disc_optimizer.step(self.discriminator.trainable_weights)
+        disc_optimizer.step(self.discriminator.weights)
 
         # --- generator phase ---
         # The decoder and (for this phase) the discriminator are frozen:
@@ -423,9 +423,7 @@ class ICFSurrogate:
         )["in"]
 
         self.forward_model.backward({"out": z_grad}, z_tape)
-        gen_optimizer.step(
-            self.forward_model.trainable_weights + self.inverse_model.trainable_weights
-        )
+        gen_optimizer.step(self.forward_model.weights + self.inverse_model.weights)
         self.steps_trained += 1
         return {
             "disc_real": d_real,

@@ -5,82 +5,54 @@ graph of tensor operations ("layers") plus trainable parameter tensors
 ("weights"), driven by an optimizer and fed by data readers.  This package
 reproduces that architecture in pure NumPy:
 
-- :mod:`repro.tensorlib.initializers` — weight initialization schemes.
-- :mod:`repro.tensorlib.functional` — vectorized activations/losses and
-  their derivatives (the numerical kernels).
+- :mod:`repro.tensorlib.initializers` — weight initialization (Glorot
+  uniform kernels, zero biases).
+- :mod:`repro.tensorlib.functional` — vectorized activations and their
+  derivatives (the numerical kernels).
 - :mod:`repro.tensorlib.layers` — layer classes with explicit
   ``forward``/``backward`` and per-sample FLOP accounting.
 - :mod:`repro.tensorlib.graph` — the layer DAG (networkx-backed) with
   topological forward/backward execution over a caller-owned ``Tape``.
 - :mod:`repro.tensorlib.model` — ``Model``: graph + weights + state
   (de)serialization for LTFB model exchange.
-- :mod:`repro.tensorlib.optimizers` — SGD / Momentum / Adam with
-  learning-rate schedules.
+- :mod:`repro.tensorlib.optimizers` — SGD / Momentum / Adam at a fixed
+  learning rate.
+- :mod:`repro.tensorlib.losses` — losses as (value, gradient) pairs.
 - :mod:`repro.tensorlib.metrics` — streaming evaluation metrics.
 
 All layer math is float32 by default, matching the paper's
 single-precision training.
 """
 
-from repro.tensorlib.initializers import (
-    Constant,
-    GlorotNormal,
-    GlorotUniform,
-    HeNormal,
-    HeUniform,
-    Initializer,
-    NormalInit,
-    UniformInit,
-    Zeros,
-)
+from repro.tensorlib.initializers import Constant, GlorotUniform, Initializer, Zeros
 from repro.tensorlib.weights import Weight
 from repro.tensorlib.layers import (
     Activation,
-    BatchNorm,
     Concatenation,
-    Dropout,
     FullyConnected,
     Identity,
     Input,
     Layer,
     Slice,
-    Sum,
 )
 from repro.tensorlib.graph import LayerGraph
 from repro.tensorlib.model import Model, mlp
-from repro.tensorlib.optimizers import (
-    SGD,
-    Adam,
-    ConstantLR,
-    CosineDecayLR,
-    LearningRateSchedule,
-    Momentum,
-    Optimizer,
-    StepDecayLR,
-)
+from repro.tensorlib.optimizers import SGD, Adam, Momentum, Optimizer
 from repro.tensorlib import functional, losses, metrics
 
 __all__ = [
     "Initializer",
     "Constant",
     "Zeros",
-    "NormalInit",
-    "UniformInit",
     "GlorotUniform",
-    "GlorotNormal",
-    "HeNormal",
-    "HeUniform",
     "Weight",
     "Layer",
     "Input",
     "Identity",
     "FullyConnected",
     "Activation",
-    "Dropout",
-    "BatchNorm",
     "Concatenation",
     "Slice",
-    "Sum",
     "LayerGraph",
     "Model",
     "mlp",
@@ -88,10 +60,6 @@ __all__ = [
     "SGD",
     "Momentum",
     "Adam",
-    "LearningRateSchedule",
-    "ConstantLR",
-    "StepDecayLR",
-    "CosineDecayLR",
     "functional",
     "losses",
     "metrics",

@@ -153,7 +153,7 @@ class LayerGraph:
             Names of layers whose activations to return (default: all sink
             layers).
         training:
-            Enables dropout masks and batch-statistics updates.
+            Passed to every layer's forward; no layer reads it.
         """
         order = self.topological_order()
         inputs = self._inputs

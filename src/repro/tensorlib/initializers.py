@@ -1,9 +1,9 @@
 """Weight initialization schemes.
 
 Each initializer is a callable ``(shape, rng) -> ndarray`` returning a
-float32 array.  Fan-in/fan-out conventions follow Glorot & Bengio (2010)
-and He et al. (2015) for 2-D weight matrices of shape ``(fan_in, fan_out)``;
-for 1-D shapes (biases) both fans equal the length.
+float32 array.  Kernels draw Glorot & Bengio (2010) uniform values with
+fans taken from a 2-D shape ``(fan_in, fan_out)``; for 1-D shapes (biases)
+both fans equal the length.  Biases start at zero.
 """
 
 from __future__ import annotations
@@ -17,12 +17,7 @@ __all__ = [
     "Initializer",
     "Constant",
     "Zeros",
-    "NormalInit",
-    "UniformInit",
     "GlorotUniform",
-    "GlorotNormal",
-    "HeNormal",
-    "HeUniform",
 ]
 
 DTYPE = np.float32
@@ -67,63 +62,10 @@ class Zeros(Constant):
         super().__init__(0.0)
 
 
-class NormalInit(Initializer):
-    """Gaussian with the given mean and standard deviation."""
-
-    def __init__(self, mean: float = 0.0, stddev: float = 0.05) -> None:
-        if stddev < 0:
-            raise ValueError(f"stddev must be non-negative, got {stddev}")
-        self.mean = float(mean)
-        self.stddev = float(stddev)
-
-    def __call__(self, shape: Sequence[int], rng: np.random.Generator) -> np.ndarray:
-        return rng.normal(self.mean, self.stddev, size=shape).astype(DTYPE)
-
-
-class UniformInit(Initializer):
-    """Uniform on [low, high)."""
-
-    def __init__(self, low: float = -0.05, high: float = 0.05) -> None:
-        if high < low:
-            raise ValueError(f"high ({high}) must be >= low ({low})")
-        self.low = float(low)
-        self.high = float(high)
-
-    def __call__(self, shape: Sequence[int], rng: np.random.Generator) -> np.ndarray:
-        return rng.uniform(self.low, self.high, size=shape).astype(DTYPE)
-
-
 class GlorotUniform(Initializer):
     """Glorot/Xavier uniform: U(±sqrt(6 / (fan_in + fan_out)))."""
 
     def __call__(self, shape: Sequence[int], rng: np.random.Generator) -> np.ndarray:
         fan_in, fan_out = _fans(shape)
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-limit, limit, size=shape).astype(DTYPE)
-
-
-class GlorotNormal(Initializer):
-    """Glorot/Xavier normal: N(0, 2 / (fan_in + fan_out))."""
-
-    def __call__(self, shape: Sequence[int], rng: np.random.Generator) -> np.ndarray:
-        fan_in, fan_out = _fans(shape)
-        stddev = np.sqrt(2.0 / (fan_in + fan_out))
-        return rng.normal(0.0, stddev, size=shape).astype(DTYPE)
-
-
-class HeNormal(Initializer):
-    """He normal: N(0, 2 / fan_in); preferred for ReLU-family stacks."""
-
-    def __call__(self, shape: Sequence[int], rng: np.random.Generator) -> np.ndarray:
-        fan_in, _ = _fans(shape)
-        stddev = np.sqrt(2.0 / fan_in)
-        return rng.normal(0.0, stddev, size=shape).astype(DTYPE)
-
-
-class HeUniform(Initializer):
-    """He uniform: U(±sqrt(6 / fan_in))."""
-
-    def __call__(self, shape: Sequence[int], rng: np.random.Generator) -> np.ndarray:
-        fan_in, _ = _fans(shape)
-        limit = np.sqrt(6.0 / fan_in)
         return rng.uniform(-limit, limit, size=shape).astype(DTYPE)

@@ -3,14 +3,11 @@
 from repro.tensorlib.layers.base import Layer, LayerBuildError
 from repro.tensorlib.layers.core import (
     Activation,
-    BatchNorm,
     Concatenation,
-    Dropout,
     FullyConnected,
     Identity,
     Input,
     Slice,
-    Sum,
 )
 
 __all__ = [
@@ -20,9 +17,6 @@ __all__ = [
     "Identity",
     "FullyConnected",
     "Activation",
-    "Dropout",
-    "BatchNorm",
     "Concatenation",
     "Slice",
-    "Sum",
 ]

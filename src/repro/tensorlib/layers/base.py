@@ -71,16 +71,10 @@ class Layer(ABC):
         self._rng = rng
         self.output_shape = tuple(int(d) for d in self._build(self.input_shapes))
 
-    def add_weight(
-        self,
-        suffix: str,
-        shape: Shape,
-        initializer: Initializer,
-        trainable: bool = True,
-    ) -> Weight:
+    def add_weight(self, suffix: str, shape: Shape, initializer: Initializer) -> Weight:
         """Create and register a weight named ``"<layer>/<suffix>"``."""
         assert self._rng is not None, "add_weight must be called from _build"
-        w = Weight(f"{self.name}/{suffix}", initializer(shape, self._rng), trainable)
+        w = Weight(f"{self.name}/{suffix}", initializer(shape, self._rng))
         self.weights.append(w)
         return w
 

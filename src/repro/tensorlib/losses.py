@@ -24,7 +24,6 @@ __all__ = [
     "mean_squared_error",
     "bce_with_logits",
     "softmax_cross_entropy",
-    "weighted_sum",
 ]
 
 
@@ -120,19 +119,3 @@ def softmax_cross_entropy(
     grad[np.arange(n), y] -= 1.0
     return value, (grad / np.float32(n)).astype(np.float32)
 
-
-def weighted_sum(
-    *terms: tuple[float, tuple[float, np.ndarray]],
-) -> tuple[float, list[np.ndarray]]:
-    """Combine loss terms: ``weighted_sum((w1, loss1), (w2, loss2), ...)``.
-
-    Each ``lossN`` is a ``(value, grad)`` pair; returns the combined scalar
-    and the list of *scaled* gradients in order, ready to backpropagate
-    through each term's own path.
-    """
-    total = 0.0
-    grads: list[np.ndarray] = []
-    for weight, (value, grad) in terms:
-        total += float(weight) * value
-        grads.append(np.float32(weight) * grad)
-    return total, grads

@@ -14,8 +14,6 @@ import numpy as np
 
 __all__ = [
     "Metric",
-    "Mean",
-    "MeanAbsoluteError",
     "MeanSquaredError",
     "R2Score",
     "PSNR",
@@ -36,33 +34,8 @@ class Metric(ABC):
     def reset(self) -> None: ...
 
 
-class Mean(Metric):
-    """Weighted running mean of scalar values (e.g. per-batch losses).
-
-    ``update(value, weight)`` — the signature is (pred, target)-shaped for
-    uniformity but interprets its arguments as (value, weight).
-    """
-
-    def __init__(self) -> None:
-        self._total = 0.0
-        self._weight = 0.0
-
-    def update(self, pred, target=1.0) -> None:  # (value, weight)
-        self._total += float(pred) * float(target)
-        self._weight += float(target)
-
-    def result(self) -> float:
-        if self._weight == 0:
-            return math.nan
-        return self._total / self._weight
-
-    def reset(self) -> None:
-        self._total = 0.0
-        self._weight = 0.0
-
-
-class _ElementwiseMean(Metric):
-    """Shared machinery for metrics that average an elementwise error."""
+class MeanSquaredError(Metric):
+    """Mean of the squared elementwise error over everything seen."""
 
     def __init__(self) -> None:
         self._sum = 0.0
@@ -71,12 +44,8 @@ class _ElementwiseMean(Metric):
     def update(self, pred: np.ndarray, target: np.ndarray) -> None:
         if pred.shape != target.shape:
             raise ValueError(f"shape mismatch: {pred.shape} vs {target.shape}")
-        self._sum += float(self._error(pred, target))
+        self._sum += float(np.square(pred - target, dtype=np.float64).sum())
         self._count += pred.size
-
-    @staticmethod
-    def _error(pred: np.ndarray, target: np.ndarray) -> float:
-        raise NotImplementedError
 
     def result(self) -> float:
         if self._count == 0:
@@ -86,18 +55,6 @@ class _ElementwiseMean(Metric):
     def reset(self) -> None:
         self._sum = 0.0
         self._count = 0
-
-
-class MeanAbsoluteError(_ElementwiseMean):
-    @staticmethod
-    def _error(pred: np.ndarray, target: np.ndarray) -> float:
-        return float(np.abs(pred - target).sum())
-
-
-class MeanSquaredError(_ElementwiseMean):
-    @staticmethod
-    def _error(pred: np.ndarray, target: np.ndarray) -> float:
-        return float(np.square(pred - target, dtype=np.float64).sum())
 
 
 class R2Score(Metric):

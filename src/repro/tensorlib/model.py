@@ -15,8 +15,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.tensorlib.graph import LayerGraph, Tape
-from repro.tensorlib.layers import Activation, BatchNorm, Dropout, FullyConnected
-from repro.tensorlib.layers import Identity, Input
+from repro.tensorlib.layers import Activation, FullyConnected, Identity, Input
 from repro.tensorlib.weights import Weight
 from repro.utils.rng import RngFactory
 from repro.utils.serialization import nbytes_of, pack_arrays, unpack_arrays
@@ -30,7 +29,7 @@ class Model:
     Parameters
     ----------
     name:
-        Model name; scopes the RNG streams used for weight init and dropout.
+        Model name; scopes the RNG streams used for weight init.
     graph:
         An *unbuilt* :class:`LayerGraph`; the model builds it.
     rngs:
@@ -82,10 +81,6 @@ class Model:
     def weights(self) -> list[Weight]:
         return list(self._weights)
 
-    @property
-    def trainable_weights(self) -> list[Weight]:
-        return [w for w in self._weights if w.trainable]
-
     def weight(self, name: str) -> Weight:
         """Look up a weight by qualified name or model-local suffix."""
         if name in self._weights_by_name:
@@ -97,14 +92,14 @@ class Model:
             w.zero_grad()
 
     def param_count(self) -> int:
-        return sum(w.size for w in self._weights if w.trainable)
+        return sum(w.size for w in self._weights)
 
     def state_nbytes(self) -> int:
         """Bytes of the full state — what an LTFB exchange transfers."""
         return nbytes_of({w.name: w.value for w in self._weights})
 
     def get_state(self) -> dict[str, np.ndarray]:
-        """Copy out all weight values (trainable and running statistics)."""
+        """Copy out all weight values."""
         return {w.name: w.value.copy() for w in self._weights}
 
     def set_state(self, state: Mapping[str, np.ndarray]) -> None:
@@ -163,11 +158,6 @@ def mlp(
     output_dim: int,
     activation: str = "relu",
     output_activation: str | None = None,
-    dropout: float = 0.0,
-    batchnorm: bool = False,
-    input_name: str = "in",
-    output_name: str = "out",
-    activation_kwargs: Mapping[str, float] | None = None,
 ) -> Model:
     """Build a plain multilayer perceptron model.
 
@@ -175,35 +165,21 @@ def mlp(
     the multimodal autoencoder halves) are all "standard fully-connected
     neural networks"; this is the shared constructor for them.
 
-    The returned model has one input layer (``input_name``) and one output
-    layer (``output_name``).
+    The returned model has one input layer (``"in"``) and one output
+    layer (``"out"``).
     """
     if input_dim <= 0 or output_dim <= 0:
         raise ValueError("input_dim and output_dim must be positive")
     g = LayerGraph()
-    g.add(Input(input_name, shape=(input_dim,)))
-    prev = input_name
-    kwargs = dict(activation_kwargs or {})
+    g.add(Input("in", shape=(input_dim,)))
+    prev = "in"
     for i, width in enumerate(hidden):
-        fc = f"fc{i}"
-        g.add(FullyConnected(fc, units=int(width)), parents=[prev])
-        prev = fc
-        if batchnorm:
-            bn = f"bn{i}"
-            g.add(BatchNorm(bn), parents=[prev])
-            prev = bn
-        act = f"act{i}"
-        g.add(Activation(act, activation, **kwargs), parents=[prev])
-        prev = act
-        if dropout > 0.0:
-            dp = f"drop{i}"
-            g.add(Dropout(dp, dropout), parents=[prev])
-            prev = dp
-    head = "head"
-    g.add(FullyConnected(head, units=output_dim), parents=[prev])
-    prev = head
+        g.add(FullyConnected(f"fc{i}", units=int(width)), parents=[prev])
+        g.add(Activation(f"act{i}", activation), parents=[f"fc{i}"])
+        prev = f"act{i}"
+    g.add(FullyConnected("head", units=output_dim), parents=[prev])
     if output_activation is not None:
-        g.add(Activation(output_name, output_activation), parents=[prev])
+        g.add(Activation("out", output_activation), parents=["head"])
     else:
-        g.add(Identity(output_name), parents=[prev])
+        g.add(Identity("out"), parents=["head"])
     return Model(name, g, rngs)

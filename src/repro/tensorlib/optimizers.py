@@ -1,9 +1,9 @@
-"""First-order optimizers and learning-rate schedules.
+"""First-order optimizers on a fixed learning rate.
 
 The paper trains the CycleGAN with Adam at an initial learning rate of
 1e-3; SGD and momentum are provided for the baselines and tests.  Optimizer
-slot state is keyed by weight name, so an optimizer can be checkpointed and
-restored alongside its model.
+slot state is keyed by weight name, so an optimizer can
+be checkpointed and restored alongside its model.
 
 All updates are performed in place on the weight value buffers (no
 reallocation per step — the NumPy guide's in-place idiom).
@@ -14,7 +14,6 @@ each slice exactly as that trainer's own optimizer would.
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 from typing import Iterable, Mapping
 
@@ -22,79 +21,20 @@ import numpy as np
 
 from repro.tensorlib.weights import Weight
 
-__all__ = [
-    "LearningRateSchedule",
-    "ConstantLR",
-    "StepDecayLR",
-    "CosineDecayLR",
-    "Optimizer",
-    "SGD",
-    "Momentum",
-    "Adam",
-]
-
-
-class LearningRateSchedule(ABC):
-    """Maps a 0-based step index to a learning rate."""
-
-    @abstractmethod
-    def learning_rate(self, step: int) -> float: ...
-
-
-class ConstantLR(LearningRateSchedule):
-    def __init__(self, lr: float) -> None:
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
-        self.lr = float(lr)
-
-    def learning_rate(self, step: int) -> float:
-        return self.lr
-
-
-class StepDecayLR(LearningRateSchedule):
-    """Multiply the rate by ``factor`` every ``every`` steps."""
-
-    def __init__(self, lr: float, factor: float = 0.5, every: int = 10_000) -> None:
-        if lr <= 0 or not 0 < factor <= 1 or every <= 0:
-            raise ValueError("invalid StepDecayLR parameters")
-        self.lr, self.factor, self.every = float(lr), float(factor), int(every)
-
-    def learning_rate(self, step: int) -> float:
-        return self.lr * self.factor ** (step // self.every)
-
-
-class CosineDecayLR(LearningRateSchedule):
-    """Cosine decay from ``lr`` to ``final`` over ``total_steps``."""
-
-    def __init__(self, lr: float, total_steps: int, final: float = 0.0) -> None:
-        if lr <= 0 or total_steps <= 0 or final < 0:
-            raise ValueError("invalid CosineDecayLR parameters")
-        self.lr, self.total_steps, self.final = float(lr), int(total_steps), float(final)
-
-    def learning_rate(self, step: int) -> float:
-        t = min(step, self.total_steps) / self.total_steps
-        return self.final + 0.5 * (self.lr - self.final) * (1 + math.cos(math.pi * t))
-
-
-def _as_schedule(lr: "float | LearningRateSchedule") -> LearningRateSchedule:
-    if isinstance(lr, LearningRateSchedule):
-        return lr
-    return ConstantLR(float(lr))
+__all__ = ["Optimizer", "SGD", "Momentum", "Adam"]
 
 
 class Optimizer(ABC):
-    """Base optimizer: applies accumulated gradients to trainable weights."""
+    """Base optimizer: applies accumulated gradients to weights."""
 
-    def __init__(self, lr: "float | LearningRateSchedule") -> None:
-        self.schedule = _as_schedule(lr)
+    def __init__(self, lr: float) -> None:
+        if lr <= 0:
+            raise ValueError(f"learning rate must be positive, got {lr}")
+        self.learning_rate = float(lr)
         self.step_count = 0
         self._slots: dict[str, dict[str, np.ndarray]] = {}
         #: The per-trainer optimizers a stacked optimizer steps, or None.
         self.members: list[Optimizer] | None = None
-
-    @property
-    def learning_rate(self) -> float:
-        return self.schedule.learning_rate(self.step_count)
 
     def hyperparameters(self) -> dict:
         """Constructor arguments besides the learning rate."""
@@ -106,7 +46,7 @@ class Optimizer(ABC):
         their step counts, gathers their slots on first use (zeros where a
         member has none) and returns them with :meth:`unstack`."""
         first = members[0]
-        stacked = type(first)(first.schedule, **first.hyperparameters())
+        stacked = type(first)(first.learning_rate, **first.hyperparameters())
         stacked.members = list(members)
         return stacked
 
@@ -119,10 +59,10 @@ class Optimizer(ABC):
     def step(self, weights: Iterable[Weight]) -> None:
         """Apply one update using each weight's accumulated gradient.
 
-        Non-trainable weights are skipped.  Gradients are *not* cleared —
-        that is the training loop's job (so multiple loss phases can share
-        one step).  Each trainer's step constants (:meth:`_scalars`) reach
-        :meth:`_apply` as a float32 ``[k, 1, ...]`` column (k = 1 unstacked).
+        Gradients are *not* cleared — that is the training loop's job (so
+        multiple loss phases can share one step).  Each trainer's step
+        constants (:meth:`_scalars`) reach :meth:`_apply` as a float32
+        ``[k, 1, ...]`` column (k = 1 unstacked).
         """
         members = self.members or [self]
         per_trainer = [m._scalars() for m in members]
@@ -131,14 +71,13 @@ class Optimizer(ABC):
             for k in per_trainer[0]
         }
         for w in weights:
-            if w.trainable:
-                shape = (-1,) + (1,) * (w.value.ndim - 1)
-                self._apply(w, **{k: c.reshape(shape) for k, c in columns.items()})
+            shape = (-1,) + (1,) * (w.value.ndim - 1)
+            self._apply(w, **{k: c.reshape(shape) for k, c in columns.items()})
         for m in members:
             m.step_count += 1
 
     def _scalars(self) -> dict[str, float]:
-        """This step's constants from the schedule and ``step_count``."""
+        """This step's constants from the learning rate and ``step_count``."""
         return {"lr": self.learning_rate}
 
     def _slot(self, w: Weight, name: str) -> np.ndarray:
@@ -190,12 +129,7 @@ class SGD(Optimizer):
 class Momentum(Optimizer):
     """SGD with (optionally Nesterov) momentum."""
 
-    def __init__(
-        self,
-        lr: "float | LearningRateSchedule",
-        momentum: float = 0.9,
-        nesterov: bool = False,
-    ) -> None:
+    def __init__(self, lr: float, momentum: float = 0.9, nesterov: bool = False) -> None:
         super().__init__(lr)
         if not 0.0 <= momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {momentum}")
@@ -220,7 +154,7 @@ class Adam(Optimizer):
 
     def __init__(
         self,
-        lr: "float | LearningRateSchedule" = 1e-3,
+        lr: float = 1e-3,
         beta1: float = 0.9,
         beta2: float = 0.999,
         epsilon: float = 1e-8,

@@ -24,20 +24,16 @@ class Weight:
         Unique name within the owning model, e.g. ``"fc1/kernel"``.
     value:
         Initial value; stored as float32 and owned by this object.
-    trainable:
-        Non-trainable weights (e.g. batch-norm running statistics) are part
-        of the model state exchanged by LTFB but are skipped by optimizers.
     """
 
-    __slots__ = ("name", "value", "grad", "trainable")
+    __slots__ = ("name", "value", "grad")
 
-    def __init__(self, name: str, value: np.ndarray, trainable: bool = True) -> None:
+    def __init__(self, name: str, value: np.ndarray) -> None:
         if not name:
             raise ValueError("weight name must be non-empty")
         self.name = name
         self.value = np.asarray(value, dtype=np.float32).copy()
         self.grad = np.zeros_like(self.value)
-        self.trainable = bool(trainable)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -75,5 +71,4 @@ class Weight:
         self.value[...] = value
 
     def __repr__(self) -> str:
-        kind = "trainable" if self.trainable else "frozen"
-        return f"Weight({self.name!r}, shape={self.shape}, {kind})"
+        return f"Weight({self.name!r}, shape={self.shape})"

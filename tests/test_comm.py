@@ -1,14 +1,12 @@
-"""Tests for the communication substrate: topology, cost models, SPMD."""
+"""Tests for the communication substrate: topology and cost models."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.comm.costmodel import CollectiveCostModel, LinkParams
-from repro.comm.spmd import SpmdError, run_spmd
 from repro.comm.topology import RankPlacement, contiguous_placement
 
 INTRA = LinkParams(latency=1e-6, bandwidth=75e9)
@@ -129,104 +127,3 @@ class TestOtherCollectives:
         with pytest.raises(ValueError):
             MODEL.model_exchange_time(-1)
 
-
-class TestSpmd:
-    def test_rank_and_size(self):
-        out = run_spmd(5, lambda c: (c.rank, c.size), timeout=10)
-        assert out == [(r, 5) for r in range(5)]
-
-    def test_send_recv(self):
-        def prog(c):
-            if c.rank == 0:
-                c.send({"payload": 42}, dest=1)
-                return None
-            if c.rank == 1:
-                return c.recv(source=0)
-
-        out = run_spmd(2, prog, timeout=10)
-        assert out[1] == {"payload": 42}
-
-    def test_sendrecv_swap(self):
-        out = run_spmd(2, lambda c: c.sendrecv(c.rank, peer=1 - c.rank), timeout=10)
-        assert out == [1, 0]
-
-    def test_bcast(self):
-        out = run_spmd(
-            4, lambda c: c.bcast("hello" if c.rank == 2 else None, root=2), timeout=10
-        )
-        assert out == ["hello"] * 4
-
-    def test_scatter_gather_roundtrip(self):
-        def prog(c):
-            part = c.scatter([i * i for i in range(c.size)] if c.rank == 0 else None)
-            return c.gather(part, root=0)
-
-        out = run_spmd(4, prog, timeout=10)
-        assert out[0] == [0, 1, 4, 9]
-        assert out[1] is None
-
-    def test_allgather(self):
-        out = run_spmd(3, lambda c: c.allgather(c.rank * 10), timeout=10)
-        assert out == [[0, 10, 20]] * 3
-
-    def test_allreduce_numpy(self):
-        def prog(c):
-            return c.allreduce(np.full(3, c.rank, dtype=np.float64))
-
-        out = run_spmd(4, prog, timeout=10)
-        for arr in out:
-            np.testing.assert_array_equal(arr, [6.0, 6.0, 6.0])
-
-    def test_allreduce_custom_op(self):
-        out = run_spmd(4, lambda c: c.allreduce(c.rank + 1, op=max), timeout=10)
-        assert out == [4, 4, 4, 4]
-
-    def test_alltoall_personalized(self):
-        def prog(c):
-            return c.alltoall([f"{c.rank}->{d}" for d in range(c.size)])
-
-        out = run_spmd(3, prog, timeout=10)
-        assert out[1] == ["0->1", "1->1", "2->1"]
-
-    def test_consecutive_collectives_do_not_interfere(self):
-        def prog(c):
-            a = c.allgather(c.rank)
-            b = c.allgather(-c.rank)
-            return a, b
-
-        out = run_spmd(3, prog, timeout=10)
-        assert out[0] == ([0, 1, 2], [0, -1, -2])
-
-    def test_barrier(self):
-        def prog(c):
-            c.barrier()
-            return True
-
-        assert run_spmd(4, prog, timeout=10) == [True] * 4
-
-    def test_exception_propagates(self):
-        def prog(c):
-            if c.rank == 1:
-                raise RuntimeError("boom")
-            c.barrier()
-
-        with pytest.raises((RuntimeError, SpmdError)):
-            run_spmd(3, prog, timeout=5)
-
-    def test_invalid_peer(self):
-        def prog(c):
-            c.send(1, dest=99)
-
-        with pytest.raises(SpmdError):
-            run_spmd(2, prog, timeout=5)
-
-    def test_scatter_wrong_length(self):
-        def prog(c):
-            c.scatter([1] if c.rank == 0 else None, root=0)
-
-        with pytest.raises(SpmdError):
-            run_spmd(2, prog, timeout=5)
-
-    def test_invalid_size(self):
-        with pytest.raises(ValueError):
-            run_spmd(0, lambda c: None)

@@ -4,9 +4,10 @@ single-process execution relies on.
 The functional trainer computes one step on the global mini-batch; the
 performance model prices a 16-GPU data-parallel version.  These agree
 because sum-reduced losses make the global gradient equal the average of
-per-shard gradients — verified here for the actual models, including the
-full GAN step executed shard-wise with a simulated allreduce (the SPMD
-ring allreduce from :mod:`repro.comm.algorithms`).
+per-shard gradients — verified here for the actual models, including a
+full SGD step taken from the mean of the shard gradients (what an
+allreduce followed by a division by the rank count delivers to every
+rank; :mod:`repro.comm.costmodel` prices that allreduce).
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.comm.algorithms import ring_allreduce
-from repro.comm.spmd import run_spmd
 from repro.tensorlib import losses
 from repro.tensorlib.model import mlp
 from repro.utils.rng import RngFactory
@@ -30,7 +29,7 @@ def grads_of(model, x, t):
     out, tape = model.forward({"in": x}, outputs=["out"])
     _, g = losses.mean_squared_error(out["out"], t)
     model.backward({"out": g}, tape)
-    return {w.name: w.grad.copy() for w in model.trainable_weights}
+    return {w.name: w.grad.copy() for w in model.weights}
 
 
 @pytest.mark.parametrize("shards", [2, 4, 8])
@@ -53,9 +52,9 @@ def test_shard_average_equals_global_gradient(shards):
         np.testing.assert_allclose(accum[k], global_grads[k], rtol=1e-4, atol=1e-6)
 
 
-def test_data_parallel_sgd_step_via_ring_allreduce():
-    """A full data-parallel SGD step over the SPMD fabric equals the
-    single-process step on the global batch."""
+def test_data_parallel_sgd_step_via_shard_mean():
+    """One SGD update from the mean of the shard gradients, applied to
+    every replica, equals the single-process step on the global batch."""
     rng = np.random.default_rng(2)
     p, n = 4, 16
     x = rng.normal(size=(n, 6)).astype(np.float32)
@@ -65,36 +64,19 @@ def test_data_parallel_sgd_step_via_ring_allreduce():
     # Reference: single-process step.
     ref = build_model(seed=7)
     ref_grads = grads_of(ref, x, t)
-    expected = {
-        w.name: w.value - lr * ref_grads[w.name] for w in ref.trainable_weights
-    }
+    expected = {w.name: w.value - lr * ref_grads[w.name] for w in ref.weights}
 
-    # Data-parallel: each rank grads its shard, ring-allreduces, averages.
-    xs, ts = np.split(x, p), np.split(t, p)
-
-    def rank_program(comm):
-        model = build_model(seed=7)  # replicated weights
-        shard_grads = grads_of(model, xs[comm.rank], ts[comm.rank])
-        names = sorted(shard_grads)
-        flat = np.concatenate([shard_grads[k].ravel() for k in names])
-        total = ring_allreduce(comm, flat)
-        avg = total / p
-        out = {}
-        offset = 0
-        for k in names:
-            shape = shard_grads[k].shape
-            size = int(np.prod(shape))
-            value = model.weight(k).value - lr * avg[
-                offset : offset + size
-            ].reshape(shape).astype(np.float32)
-            out[k] = value
-            offset += size
-        return out
-
-    results = run_spmd(p, rank_program, timeout=30)
-    for rank_result in results:
+    # Data-parallel: each rank grads its shard on its own replica.
+    replicas = [build_model(seed=7) for _ in range(p)]
+    shard_grads = [
+        grads_of(model, xs, ts)
+        for model, xs, ts in zip(replicas, np.split(x, p), np.split(t, p))
+    ]
+    mean_grads = {k: sum(g[k] for g in shard_grads) / p for k in expected}
+    for model in replicas:
         for k, v in expected.items():
-            np.testing.assert_allclose(rank_result[k], v, rtol=1e-4, atol=1e-6)
+            stepped = model.weight(k).value - lr * mean_grads[k]
+            np.testing.assert_allclose(stepped, v, rtol=1e-4, atol=1e-6)
 
 
 def test_bce_loss_also_shard_averages():

@@ -1,5 +1,5 @@
-"""Tests for the distributed data store stack: conduit nodes, bundles,
-partitioning, the store itself, and the readers.
+"""Tests for the distributed data store stack: bundles, partitioning,
+the store itself, and the readers.
 
 The headline invariants come straight from the paper:
 
@@ -18,17 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.filesystem import SimulatedFilesystem
-from repro.comm.spmd import run_spmd
 from repro.comm.topology import contiguous_placement
 from repro.datastore.bundle import Bundle, bundle_paths_for, write_bundles
-from repro.datastore.conduit import ConduitNode
 from repro.datastore.partition import partition_indices, partition_items
 from repro.datastore.reader import ArrayReader, NaiveReader, StoreReader
 from repro.datastore.store import (
     DistributedDataStore,
     InsufficientMemoryError,
     consumer_ranks_for_batch,
-    spmd_exchange_minibatch,
 )
 
 
@@ -45,50 +42,6 @@ def make_fs_with_bundles(n=200, spb=20, seed=0):
     fields = make_fields(n, seed=seed)
     paths = write_bundles(fs, fields, samples_per_bundle=spb)
     return fs, fields, paths
-
-
-class TestConduit:
-    def test_path_set_get(self):
-        n = ConduitNode()
-        n["outputs/scalars"] = np.arange(3)
-        n["outputs/images"] = np.zeros((2, 2))
-        n["inputs"] = np.ones(5)
-        assert sorted(n.leaf_paths()) == [
-            "inputs",
-            "outputs/images",
-            "outputs/scalars",
-        ]
-        np.testing.assert_array_equal(n["outputs/scalars"], [0, 1, 2])
-
-    def test_interior_vs_leaf_conflicts(self):
-        n = ConduitNode()
-        n["a/b"] = 1
-        with pytest.raises(KeyError):
-            n["a"] = 2  # 'a' is interior
-        with pytest.raises(KeyError):
-            n["a/b/c"] = 3  # 'b' is a leaf
-
-    def test_invalid_paths(self):
-        n = ConduitNode()
-        for bad in ("", "/x", "x/"):
-            with pytest.raises(KeyError):
-                n[bad] = 1
-
-    def test_contains_and_missing(self):
-        n = ConduitNode({"a/b": 1})
-        assert "a/b" in n and "a" in n and "a/c" not in n
-        with pytest.raises(KeyError):
-            n["zzz"]
-
-    def test_nbytes(self):
-        n = ConduitNode({"a": np.zeros(10, dtype=np.float32)})
-        assert n.nbytes == 40
-
-    def test_flat_roundtrip_and_equality(self):
-        flat = {"x/y": np.arange(4), "z": np.ones(2)}
-        n = ConduitNode.from_flat(flat)
-        assert n == ConduitNode.from_flat(n.to_flat())
-        assert n != ConduitNode.from_flat({"x/y": np.arange(4)})
 
 
 class TestBundle:
@@ -380,35 +333,3 @@ class TestReaders:
         ids1 = [mb.sample_ids.tolist() for mb in r1.epoch(16)]
         ids2 = [mb.sample_ids.tolist() for mb in r2.epoch(16)]
         assert ids1 == ids2
-
-
-class TestSpmdExchange:
-    def test_batch_reassembled_in_order(self):
-        n_ranks, n_samples = 4, 32
-        shards = [dict() for _ in range(n_ranks)]
-        owner = {}
-        for sid in range(n_samples):
-            owner[sid] = sid % n_ranks
-            shards[owner[sid]][sid] = {"v": np.full(2, sid, dtype=np.float32)}
-        batch = [5, 17, 2, 30, 11, 8, 23, 0]
-
-        def prog(comm):
-            return spmd_exchange_minibatch(comm, shards[comm.rank], owner, batch)
-
-        per_rank = run_spmd(n_ranks, prog, timeout=15)
-        flat = [s["v"][0] for chunk in per_rank for s in chunk]
-        assert flat == [float(b) for b in batch]
-
-    def test_each_rank_gets_its_share(self):
-        shards = [dict() for _ in range(2)]
-        owner = {}
-        for sid in range(8):
-            owner[sid] = 0  # rank 0 owns everything
-            shards[0][sid] = {"v": np.array([sid], dtype=np.float32)}
-        batch = list(range(8))
-
-        def prog(comm):
-            return spmd_exchange_minibatch(comm, shards[comm.rank], owner, batch)
-
-        out = run_spmd(2, prog, timeout=15)
-        assert len(out[0]) == 4 and len(out[1]) == 4

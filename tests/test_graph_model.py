@@ -14,14 +14,11 @@ from repro.tensorlib import losses
 from repro.tensorlib.graph import GraphError, LayerGraph
 from repro.tensorlib.layers import (
     Activation,
-    BatchNorm,
     Concatenation,
-    Dropout,
     FullyConnected,
     Identity,
     Input,
     Slice,
-    Sum,
 )
 from repro.tensorlib.model import mlp
 from repro.utils.rng import RngFactory
@@ -33,7 +30,7 @@ def simple_graph():
     g = LayerGraph()
     g.add(Input("x", shape=(4,)))
     g.add(FullyConnected("fc", units=3), parents=["x"])
-    g.add(Activation("act", "tanh"), parents=["fc"])
+    g.add(Activation("act", "sigmoid"), parents=["fc"])
     return g
 
 
@@ -142,16 +139,16 @@ class TestGraphExecution:
             g.backward({"act": np.zeros((5, 99))}, tape)
 
     def test_diamond_fan_out_gradient_accumulates(self):
-        # x -> a and x -> b, both summed: d/dx = grad_a + grad_b.
+        # x -> a and x -> b, both joined: d/dx = grad_a + grad_b.
         g = LayerGraph()
         g.add(Input("x", shape=(3,)))
         g.add(Identity("a"), parents=["x"])
         g.add(Identity("b"), parents=["x"])
-        g.add(Sum("s"), parents=["a", "b"])
+        g.add(Concatenation("s"), parents=["a", "b"])
         g.build(RNGS())
         x = np.ones((2, 3), dtype=np.float32)
         _, tape = g.forward({"x": x})
-        dx = g.backward({"s": np.ones((2, 3), dtype=np.float32)}, tape)["x"]
+        dx = g.backward({"s": np.ones((2, 6), dtype=np.float32)}, tape)["x"]
         np.testing.assert_array_equal(dx, 2 * np.ones((2, 3)))
 
     def test_multi_output_backward(self):
@@ -219,12 +216,12 @@ class TestModel:
         out, tape = m.forward({"in": x}, outputs=["out"])
         _, g = losses.mean_squared_error(out["out"], np.zeros_like(out["out"]))
         m.backward({"out": g}, tape)
-        assert any(np.abs(w.grad).sum() > 0 for w in m.trainable_weights)
+        assert any(np.abs(w.grad).sum() > 0 for w in m.weights)
         m.zero_grad()
         assert all(np.abs(w.grad).sum() == 0 for w in m.weights)
 
     def test_training_flops_triple(self):
-        m = mlp("net", RNGS(), 4, [8], 2, activation="identity")
+        m = mlp("net", RNGS(), 4, [8], 2)
         assert m.flops_per_sample(training=True) == 3 * m.flops_per_sample()
 
     def test_identical_seeds_identical_models(self):
@@ -256,16 +253,11 @@ class TestModel:
         assert grads["in"].shape == x.shape
 
     @pytest.mark.parametrize("training", [False, True])
-    @pytest.mark.parametrize(
-        "kwargs",
-        [{}, {"batchnorm": True}, {"dropout": 0.3}, {"batchnorm": True, "dropout": 0.3}],
-        ids=["plain", "batchnorm", "dropout", "batchnorm+dropout"],
-    )
-    def test_through_backward_is_input_gradients_only(self, kwargs, training):
+    def test_through_backward_is_input_gradients_only(self, training):
         """A frozen model's pass: input gradients bit-equal to a normal
         backward, and no ``Weight.grad`` read, written or zeroed."""
-        m1 = mlp("net", RNGS(3), 6, [16, 16], 4, activation="leaky_relu", **kwargs)
-        m2 = mlp("net", RNGS(3), 6, [16, 16], 4, activation="leaky_relu", **kwargs)
+        m1 = mlp("net", RNGS(3), 6, [16, 16], 4, activation="leaky_relu")
+        m2 = mlp("net", RNGS(3), 6, [16, 16], 4, activation="leaky_relu")
         rng = np.random.default_rng(2)
         x = rng.normal(size=(12, 6)).astype(np.float32)
         g = rng.normal(size=(12, 4)).astype(np.float32)
@@ -278,7 +270,7 @@ class TestModel:
         through = m2.backward({"out": g}, tape2, through=True)
 
         np.testing.assert_array_equal(through["in"], normal["in"])
-        assert any(np.abs(w.grad).sum() > 0 for w in m1.trainable_weights)
+        assert any(np.abs(w.grad).sum() > 0 for w in m1.weights)
         assert all(np.all(w.grad == 7.0) for w in m2.weights)
         # The pass consumed the tape like any backward does.
         with pytest.raises(GraphError):
@@ -286,8 +278,8 @@ class TestModel:
 
 
 def _state_of(model):
-    """Everything a pass may touch: weight values (incl. running
-    statistics), weight gradients and every layer's RNG state."""
+    """Everything a pass may touch: weight values, weight gradients and
+    every layer's RNG state."""
     return (
         model.get_state(),
         {w.name: w.grad.copy() for w in model.weights},
@@ -311,12 +303,10 @@ class TestReentrancy:
 
     @pytest.mark.parametrize("through", [False, True], ids=["normal", "through"])
     def test_interleaved_passes_equal_sequential(self, through):
-        """``f1 f2 b1 b2`` == ``f1 b1 f2 b2`` in training mode, through
-        BatchNorm and Dropout: RNG draws and running-statistics updates
-        happen in forward order in both."""
-        kwargs = dict(activation="leaky_relu", batchnorm=True, dropout=0.3)
-        seq = mlp("net", RNGS(5), 6, [16, 16], 4, **kwargs)
-        inter = mlp("net", RNGS(5), 6, [16, 16], 4, **kwargs)
+        """``f1 f2 b1 b2`` == ``f1 b1 f2 b2`` in training mode: the only
+        state a pass writes is ``Weight.grad``, accumulated either way."""
+        seq = mlp("net", RNGS(5), 6, [16, 16], 4, activation="leaky_relu")
+        inter = mlp("net", RNGS(5), 6, [16, 16], 4, activation="leaky_relu")
         rng = np.random.default_rng(9)
         xs = [rng.normal(size=(10, 6)).astype(np.float32) for _ in range(2)]
         gs = [rng.normal(size=(10, 4)).astype(np.float32) for _ in range(2)]

@@ -9,19 +9,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.tensorlib.initializers import NormalInit
 from repro.tensorlib.layers import (
     Activation,
-    BatchNorm,
     Concatenation,
-    Dropout,
     FullyConnected,
     Identity,
     Input,
     Layer,
     LayerBuildError,
     Slice,
-    Sum,
 )
 
 RNG = lambda s=0: np.random.default_rng(s)  # noqa: E731
@@ -104,15 +100,11 @@ class TestInput:
 
 class TestFullyConnected:
     def test_forward_math(self):
-        fc = build(FullyConnected("fc", 2, kernel_init=NormalInit(0, 1)), (3,))
+        fc = build(FullyConnected("fc", 2), (3,))
+        fc.bias.assign(RNG(2).normal(size=2))
         x = RNG(1).normal(size=(4, 3)).astype(np.float32)
         expected = x @ fc.kernel.value + fc.bias.value
         np.testing.assert_allclose(fc.forward([x], False)[0], expected, rtol=1e-6)
-
-    def test_no_bias(self):
-        fc = build(FullyConnected("fc", 2, use_bias=False), (3,))
-        assert fc.bias is None
-        assert fc.param_count() == 6
 
     def test_weight_gradients_numeric(self):
         fc = build(FullyConnected("fc", 3), (4,))
@@ -158,7 +150,7 @@ class TestFullyConnected:
             FullyConnected("fc", 0)
 
 
-@pytest.mark.parametrize("kind", ["relu", "leaky_relu", "elu", "sigmoid", "tanh"])
+@pytest.mark.parametrize("kind", ["relu", "leaky_relu", "sigmoid"])
 class TestActivationLayer:
     def test_input_gradient_numeric(self, kind):
         act = build(Activation("a", kind), (6,))
@@ -175,102 +167,6 @@ class TestActivationErrors:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             Activation("a", "swishh")
-
-
-class TestDropout:
-    def test_eval_mode_is_identity(self):
-        d = build(Dropout("d", 0.5), (10,))
-        x = RNG(0).normal(size=(4, 10)).astype(np.float32)
-        np.testing.assert_array_equal(d.forward([x], training=False)[0], x)
-
-    def test_training_mode_scales_kept_units(self):
-        d = build(Dropout("d", 0.5), (1000,))
-        x = np.ones((2, 1000), dtype=np.float32)
-        y, _ = d.forward([x], training=True)
-        kept = y != 0
-        assert 0.3 < kept.mean() < 0.7
-        np.testing.assert_allclose(y[kept], 2.0)
-
-    def test_backward_uses_same_mask(self):
-        d = build(Dropout("d", 0.5), (50,))
-        x = np.ones((3, 50), dtype=np.float32)
-        y, cache = d.forward([x], training=True)
-        dx = d.backward(np.ones_like(y), cache)[0]
-        np.testing.assert_array_equal((dx != 0), (y != 0))
-
-    def test_rate_zero_passthrough_in_training(self):
-        d = build(Dropout("d", 0.0), (5,))
-        x = RNG(0).normal(size=(2, 5)).astype(np.float32)
-        np.testing.assert_array_equal(d.forward([x], training=True)[0], x)
-
-    def test_invalid_rate(self):
-        with pytest.raises(ValueError):
-            Dropout("d", 1.0)
-
-
-class TestBatchNorm:
-    def test_training_normalizes_batch(self):
-        bn = build(BatchNorm("bn"), (8,))
-        x = (RNG(1).normal(size=(256, 8)) * 3 + 5).astype(np.float32)
-        y, _ = bn.forward([x], training=True)
-        np.testing.assert_allclose(y.mean(axis=0), 0.0, atol=1e-4)
-        np.testing.assert_allclose(y.std(axis=0), 1.0, atol=1e-2)
-
-    def test_running_stats_update_and_eval_use(self):
-        bn = build(BatchNorm("bn", momentum=0.5), (4,))
-        x = (RNG(2).normal(size=(64, 4)) + 10).astype(np.float32)
-        for _ in range(20):
-            _, cache = bn.forward([x], training=True)
-            bn.backward(np.zeros((64, 4), dtype=np.float32), cache)
-        assert bn.running_mean.value.mean() == pytest.approx(10.0, abs=0.5)
-        y_eval, cache = bn.forward([x], training=False)
-        bn.backward(np.zeros_like(y_eval), cache)
-        np.testing.assert_allclose(y_eval.mean(axis=0), 0.0, atol=0.2)
-
-    def test_input_gradient_numeric_training(self):
-        bn = build(BatchNorm("bn"), (3,))
-        x = RNG(3).normal(size=(6, 3)).astype(np.float32)
-        g = RNG(4).normal(size=(6, 3)).astype(np.float32)
-        _, cache = bn.forward([x], training=True)
-        analytic = bn.backward(g, cache)[0]
-
-        def objective(xp):
-            out, cache = bn.forward([xp], training=True)
-            val = float(np.sum(out * g))
-            bn.backward(np.zeros_like(g), cache)
-            return val
-
-        eps = 1e-3
-        numeric = np.zeros_like(x, dtype=np.float64)
-        it = np.nditer(x, flags=["multi_index"])
-        for _ in it:
-            i = it.multi_index
-            orig = float(x[i])
-            x[i] = orig + eps
-            plus = objective(x)
-            x[i] = orig - eps
-            minus = objective(x)
-            x[i] = orig
-            numeric[i] = (plus - minus) / (2 * eps)
-        # Re-run forward so the batch statistics match the analytic pass.
-        np.testing.assert_allclose(analytic, numeric, rtol=5e-2, atol=5e-3)
-
-    def test_gamma_beta_grads(self):
-        bn = build(BatchNorm("bn"), (2,))
-        x = RNG(5).normal(size=(16, 2)).astype(np.float32)
-        g = np.ones((16, 2), dtype=np.float32)
-        _, cache = bn.forward([x], training=True)
-        bn.backward(g, cache)
-        np.testing.assert_allclose(bn.beta.grad, g.sum(axis=0))
-
-    def test_nontrainable_running_stats(self):
-        bn = build(BatchNorm("bn"), (2,))
-        trainable = {w.name for w in bn.weights if w.trainable}
-        assert trainable == {"bn/gamma", "bn/beta"}
-
-    def test_rejects_rank2_features(self):
-        with pytest.raises(LayerBuildError):
-            build(BatchNorm("bn"), (2, 3))
 
 
 class TestPlumbingLayers:
@@ -300,18 +196,6 @@ class TestPlumbingLayers:
     def test_slice_invalid_range(self):
         with pytest.raises(ValueError):
             Slice("s", 3, 3)
-
-    def test_sum_forward_backward(self):
-        s = build(Sum("s"), (3,), (3,), (3,))
-        xs = [np.full((2, 3), i, dtype=np.float32) for i in range(3)]
-        out, cache = s.forward(xs, False)
-        np.testing.assert_array_equal(out, np.full((2, 3), 3.0))
-        grads = s.backward(np.ones((2, 3), dtype=np.float32), cache)
-        assert len(grads) == 3
-
-    def test_sum_shape_mismatch(self):
-        with pytest.raises(LayerBuildError):
-            build(Sum("s"), (3,), (4,))
 
     def test_identity_passthrough(self):
         ident = build(Identity("i"), (7,))

@@ -1,18 +1,11 @@
-"""Tests for optimizers and learning-rate schedules."""
+"""Tests for optimizers and weights."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.tensorlib.optimizers import (
-    SGD,
-    Adam,
-    ConstantLR,
-    CosineDecayLR,
-    Momentum,
-    StepDecayLR,
-)
+from repro.tensorlib.optimizers import SGD, Adam, Momentum
 from repro.tensorlib.weights import Weight
 
 
@@ -30,30 +23,6 @@ def converges(opt, steps=400, start=5.0, tol=1e-2):
     return abs(float(w.value[0])) < tol
 
 
-class TestSchedules:
-    def test_constant(self):
-        assert ConstantLR(0.1).learning_rate(999) == 0.1
-        with pytest.raises(ValueError):
-            ConstantLR(0.0)
-
-    def test_step_decay(self):
-        s = StepDecayLR(1.0, factor=0.5, every=10)
-        assert s.learning_rate(0) == 1.0
-        assert s.learning_rate(9) == 1.0
-        assert s.learning_rate(10) == 0.5
-        assert s.learning_rate(25) == 0.25
-
-    def test_cosine_decay(self):
-        s = CosineDecayLR(1.0, total_steps=100, final=0.1)
-        assert s.learning_rate(0) == pytest.approx(1.0)
-        assert s.learning_rate(100) == pytest.approx(0.1)
-        assert s.learning_rate(50) == pytest.approx(0.55)
-        assert s.learning_rate(1000) == pytest.approx(0.1)  # clamped
-
-    def test_float_becomes_constant(self):
-        assert SGD(0.05).learning_rate == 0.05
-
-
 class TestSGD:
     def test_single_step_math(self):
         w = quad_weight(2.0)
@@ -63,23 +32,6 @@ class TestSGD:
 
     def test_converges_on_quadratic(self):
         assert converges(SGD(0.1))
-
-    def test_skips_frozen_weights(self):
-        w = Weight("frozen", np.ones(1), trainable=False)
-        w.accumulate_grad(np.ones(1))
-        SGD(1.0).step([w])
-        assert float(w.value[0]) == 1.0
-
-    def test_schedule_applied_per_step(self):
-        opt = SGD(StepDecayLR(1.0, factor=0.5, every=1))
-        w = quad_weight(0.0)
-        w.accumulate_grad(np.array([1.0], dtype=np.float32))
-        opt.step([w])  # lr 1.0
-        assert float(w.value[0]) == pytest.approx(-1.0)
-        w.zero_grad()
-        w.accumulate_grad(np.array([1.0], dtype=np.float32))
-        opt.step([w])  # lr 0.5
-        assert float(w.value[0]) == pytest.approx(-1.5)
 
 
 class TestMomentum:
@@ -155,6 +107,12 @@ class TestAdam:
         b.accumulate_grad(np.ones(3))
         opt.step([a, b])  # would broadcast-error if slots collided
         assert set(opt.get_state()["slots"]) == {"m1/w", "m2/w"}
+
+    def test_learning_rate_is_a_positive_float(self):
+        assert Adam(0.05).learning_rate == 0.05
+        for lr in (0.0, -1e-3):
+            with pytest.raises(ValueError, match="learning rate"):
+                Adam(lr)
 
     def test_invalid_hyperparameters(self):
         with pytest.raises(ValueError):

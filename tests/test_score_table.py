@@ -204,12 +204,12 @@ class TestKey:
         # or without a discriminator beside them.
         assert lookup(weights=trainer.surrogate.get_full_state()) == first
         assert len(calls) == 1
-        w = trainer.surrogate.inverse_model.trainable_weights[-1]
+        w = trainer.surrogate.inverse_model.weights[-1]
         w.value[0] = np.nextafter(w.value[0], np.float32(np.inf))
         second = lookup()
         assert len(calls) == 2 and second == trainer.tournament_score()
         # A discriminator write is not part of the generator.
-        trainer.surrogate.discriminator.trainable_weights[0].value[0] += 1.0
+        trainer.surrogate.discriminator.weights[0].value[0] += 1.0
         assert lookup() == second and len(calls) == 2
 
     def test_set_autoencoder_and_what_are_part_of_the_key(self, trainer):

@@ -1,5 +1,4 @@
-"""Tests for the evicting (partial-caching) data store and non-blocking
-SPMD requests."""
+"""Tests for the evicting (partial-caching) data store."""
 
 from __future__ import annotations
 
@@ -7,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.cluster.filesystem import SimulatedFilesystem
-from repro.comm.spmd import run_spmd
 from repro.datastore.bundle import write_bundles
 from repro.datastore.reader import StoreReader
 from repro.datastore.store import DistributedDataStore, InsufficientMemoryError
@@ -110,49 +108,3 @@ class TestEvictingStore:
         # Both file passes ran: misses first, then the evicted casualties.
         assert fs.stats.opens >= opens_before + 2
 
-
-class TestNonBlockingRequests:
-    def test_isend_irecv_roundtrip(self):
-        def prog(comm):
-            if comm.rank == 0:
-                req = comm.isend({"v": 7}, dest=1)
-                req.wait()
-                return None
-            req = comm.irecv(source=0)
-            return req.wait()
-
-        out = run_spmd(2, prog, timeout=10)
-        assert out[1] == {"v": 7}
-
-    def test_irecv_test_polls(self):
-        def prog(comm):
-            if comm.rank == 0:
-                comm.barrier()  # make rank 1 post irecv first
-                comm.send("late", dest=1)
-                return None
-            req = comm.irecv(source=0)
-            done_early, _ = req.test()
-            comm.barrier()
-            value = req.wait()
-            done_late, value2 = req.test()
-            return done_early, value, done_late, value2
-
-        out = run_spmd(2, prog, timeout=10)
-        done_early, value, done_late, value2 = out[1]
-        assert done_early is False
-        assert value == "late" and done_late is True and value2 == "late"
-
-    def test_overlapped_exchange(self):
-        """The data-store idiom: post receives, compute, then wait."""
-
-        def prog(comm):
-            peer = 1 - comm.rank
-            req = comm.irecv(source=peer, tag=5)
-            comm.send(np.full(4, comm.rank), dest=peer, tag=5)
-            local = float(np.sum(np.arange(10)))  # "compute"
-            remote = req.wait()
-            return local + float(remote.sum())
-
-        out = run_spmd(2, prog, timeout=10)
-        assert out[0] == 45.0 + 4.0  # received rank 1's ones
-        assert out[1] == 45.0 + 0.0
